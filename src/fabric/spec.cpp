@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -39,10 +40,15 @@ std::string fmt_double(double v) {
 
 std::uint64_t parse_u64(const std::string& key, const std::string& val) {
   if (val.empty()) bad_spec("empty value for '" + key + "'");
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t n = 0;
   for (const char c : val) {
     if (c < '0' || c > '9') bad_spec("non-numeric value for '" + key + "'");
-    n = n * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (n > (kMax - digit) / 10) {
+      bad_spec("value out of range for '" + key + "'");
+    }
+    n = n * 10 + digit;
   }
   return n;
 }
@@ -267,11 +273,11 @@ void add_spec_flags(CliParser& cli) {
 SweepSpec spec_from_cli(const CliParser& cli) {
   SweepSpec s;
   s.deployment = cli.get_string("deployment");
-  s.n = static_cast<std::size_t>(cli.get_int("n"));
+  s.n = static_cast<std::size_t>(cli.get_uint("n"));
   s.side = cli.get_double("side");
-  s.clusters = static_cast<std::size_t>(cli.get_int("clusters"));
+  s.clusters = static_cast<std::size_t>(cli.get_uint("clusters"));
   s.span = cli.get_double("span");
-  s.levels = static_cast<std::size_t>(cli.get_int("levels"));
+  s.levels = static_cast<std::size_t>(cli.get_uint("levels"));
   s.channel = cli.get_string("channel");
   s.alpha = cli.get_double("alpha");
   s.beta = cli.get_double("beta");
@@ -279,11 +285,11 @@ SweepSpec spec_from_cli(const CliParser& cli) {
   s.fading_severity = cli.get_double("fading-severity");
   s.algorithm = cli.get_string("algorithm");
   s.p = cli.get_double("p");
-  s.trials = static_cast<std::size_t>(cli.get_int("trials"));
-  s.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  s.max_rounds = static_cast<std::uint64_t>(cli.get_int("max-rounds"));
-  s.round_budget = static_cast<std::uint64_t>(cli.get_int("round-budget"));
-  s.max_attempts = static_cast<std::size_t>(cli.get_int("retries"));
+  s.trials = static_cast<std::size_t>(cli.get_uint("trials"));
+  s.seed = cli.get_uint("seed");
+  s.max_rounds = cli.get_uint("max-rounds");
+  s.round_budget = cli.get_uint("round-budget");
+  s.max_attempts = static_cast<std::size_t>(cli.get_uint("retries"));
   validate(s);
   return s;
 }

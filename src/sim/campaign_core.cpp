@@ -10,15 +10,6 @@
 #include "util/failpoint.hpp"
 
 namespace fcr {
-namespace {
-
-/// Set by the watchdog's stop_when hook when a deadline trips.
-struct WatchdogTrip {
-  bool fired = false;
-  std::uint64_t round = 0;
-};
-
-}  // namespace
 
 std::optional<CheckpointEntry> run_trial_attempt(const TrialExecutor& executor,
                                                  const CampaignConfig& config,
@@ -40,39 +31,41 @@ std::optional<CheckpointEntry> run_trial_attempt(const TrialExecutor& executor,
     const std::uint64_t round_budget = config.watchdog.round_budget;
     const double wall_seconds = config.watchdog.wall_seconds;
     EngineConfig engine = config.trial.engine;
-    WatchdogTrip trip;
-    if (round_budget > 0 || wall_seconds > 0.0) {
+    // The round budget lowers the engine's own bound instead of adding a
+    // stop_when hook, so the run stays unobserved and keeps the bitmask
+    // loop; an unsolved run that reaches it is a timeout. A budget above
+    // max_rounds can never trip.
+    const bool budget_bounds =
+        round_budget > 0 && round_budget <= engine.max_rounds;
+    if (budget_bounds) engine.max_rounds = round_budget;
+    std::uint64_t wall_tripped_at = 0;  // 0: the wall deadline never fired
+    if (wall_seconds > 0.0) {
       // Wall deadline is sampled once per attempt and only ever decides
-      // WHETHER the trial is abandoned, never what it computes.
+      // WHETHER the trial is abandoned, never what it computes. Its hook
+      // makes the run observed: it takes the materializing loop.
       const auto deadline =
           // FCRLINT_ALLOW(determinism): watchdog deadline, not sim input
           std::chrono::steady_clock::now() +
           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
               std::chrono::duration<double>(wall_seconds));
-      const bool wall_on = wall_seconds > 0.0;
       const auto prev = engine.stop_when;
-      engine.stop_when = [&trip, prev, round_budget, wall_on,
+      engine.stop_when = [&wall_tripped_at, prev,
                           deadline](const RoundView& v) {
-        if (round_budget > 0 && v.round >= round_budget) {
-          trip.fired = true;
-          trip.round = v.round;
-          return true;
-        }
         // Poll the clock every 64 rounds — cheap enough for tight loops.
-        if (wall_on && (v.round & 63u) == 1u &&
+        if ((v.round & 63u) == 1u &&
             // FCRLINT_ALLOW(determinism): watchdog poll, not sim input
             std::chrono::steady_clock::now() >= deadline) {
-          trip.fired = true;
-          trip.round = v.round;
+          wall_tripped_at = v.round;
           return true;
         }
         return prev ? prev(v) : false;
       };
     }
     const RunResult r = executor.run(engine, deploy_rng, run_rng);
-    if (trip.fired && !r.solved) {
+    const bool budget_reached = budget_bounds && r.rounds == round_budget;
+    if (!r.solved && (wall_tripped_at > 0 || budget_reached)) {
       TrialProvenance prov;
-      prov.round = trip.round;
+      prov.round = wall_tripped_at > 0 ? wall_tripped_at : round_budget;
       throw Error(ErrorCategory::kTimeout,
                   "trial exceeded its watchdog deadline", std::move(prov));
     }

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -95,10 +96,20 @@ std::string CliParser::get_string(const std::string& name) const {
 std::int64_t CliParser::get_int(const std::string& name) const {
   const auto& v = find(name).value;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v.c_str(), &end, 10);
   FCR_ENSURE_ARG(end && *end == '\0' && !v.empty(),
                  "flag --" << name << ": not an integer: " << v);
+  FCR_ENSURE_ARG(errno != ERANGE,
+                 "flag --" << name << ": out of the 64-bit range: " << v);
   return parsed;
+}
+
+std::uint64_t CliParser::get_uint(const std::string& name) const {
+  const std::int64_t parsed = get_int(name);
+  FCR_ENSURE_ARG(parsed >= 0, "flag --" << name << ": must not be negative: "
+                                        << find(name).value);
+  return static_cast<std::uint64_t>(parsed);
 }
 
 double CliParser::get_double(const std::string& name) const {
@@ -125,8 +136,9 @@ std::vector<std::int64_t> CliParser::get_int_list(const std::string& name) const
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
     char* end = nullptr;
+    errno = 0;
     const long long parsed = std::strtoll(item.c_str(), &end, 10);
-    FCR_ENSURE_ARG(end && *end == '\0',
+    FCR_ENSURE_ARG(end && *end == '\0' && errno != ERANGE,
                    "flag --" << name << ": bad list element: " << item);
     out.push_back(parsed);
   }

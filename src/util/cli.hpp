@@ -31,9 +31,12 @@ class CliParser {
   bool help_requested() const { return help_requested_; }
   const std::string& error() const { return error_; }
 
-  /// Typed accessors; flag must have been registered.
+  /// Typed accessors; flag must have been registered. Integers must fit in
+  /// 64 bits; get_uint also rejects negative values, so a count or budget
+  /// flag never wraps around.
   std::string get_string(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  std::uint64_t get_uint(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 

@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -23,6 +24,7 @@
 #include "core/fading_cr.hpp"
 #include "deploy/generators.hpp"
 #include "sim/campaign.hpp"
+#include "sim/channel_adapter.hpp"
 #include "util/failpoint.hpp"
 
 namespace fcr {
@@ -430,22 +432,134 @@ class AlwaysTransmit final : public Algorithm {
 };
 
 TEST(Campaign, RoundBudgetWatchdogTimesOutAndQuarantines) {
-  CampaignConfig cc = base_config(3);
-  cc.trial.engine.max_rounds = 100000;  // the watchdog must beat this
-  cc.watchdog.round_budget = 64;
-  cc.retry.max_attempts = 2;
-  // Two nodes that always transmit: never a solo round, never solved.
-  CampaignRunner runner(
-      uniform_factory(2), sinr_channel_factory(3.0, 1.5, 1e-9),
-      [](const Deployment&) { return std::make_unique<AlwaysTransmit>(); },
-      cc);
-  const CampaignResult res = runner.run();
-  EXPECT_EQ(res.quarantined, 3u);
-  EXPECT_EQ(res.result.solved, 0u);
-  ASSERT_GE(res.failures.size(), 6u);  // 3 trials x 2 attempts
-  for (const TrialFailure& f : res.failures) {
-    EXPECT_EQ(f.category, ErrorCategory::kTimeout);
+  struct Case {
+    std::uint64_t max_rounds;
+    std::uint64_t round_budget;
+    double wall_seconds;
+    std::uint64_t timeout_round;  // 0: a plain unsolved entry, no failure
+  };
+  const Case cases[] = {
+      {100000, 64, 0.0, 64},  // the watchdog must beat the engine bound
+      {64, 64, 0.0, 64},      // a budget equal to the bound still times out
+      {64, 65, 0.0, 0},       // one past the bound can never trip
+      {100000, 1, 0.0, 1},    // the smallest budget trips at round 1
+      {100000, 0, 1e-9, 1},   // a spent wall deadline trips at its first poll
+  };
+  const std::string ck = temp_path("watchdog.ckpt");
+  for (const Case& c : cases) {
+    SCOPED_TRACE("max_rounds " + std::to_string(c.max_rounds) +
+                 ", round_budget " + std::to_string(c.round_budget) +
+                 ", wall_seconds " + std::to_string(c.wall_seconds));
+    CampaignConfig cc = base_config(3);
+    cc.trial.engine.max_rounds = c.max_rounds;
+    cc.watchdog.round_budget = c.round_budget;
+    cc.watchdog.wall_seconds = c.wall_seconds;
+    cc.retry.max_attempts = 2;
+    cc.checkpoint.path = ck;
+    // Two nodes that always transmit: never a solo round, never solved.
+    CampaignRunner runner(
+        uniform_factory(2), sinr_channel_factory(3.0, 1.5, 1e-9),
+        [](const Deployment&) { return std::make_unique<AlwaysTransmit>(); },
+        cc);
+    const CampaignResult res = runner.run();
+    EXPECT_EQ(res.result.solved, 0u);
+    const auto snapshot = load_checkpoint(ck, nullptr, nullptr);
+    ASSERT_TRUE(snapshot);
+    ASSERT_EQ(snapshot->entries.size(), 3u);
+    if (c.timeout_round == 0) {
+      // A plain unsolved entry at the engine bound, with no failure.
+      EXPECT_TRUE(res.failures.empty()) << res.failure_report();
+      EXPECT_EQ(res.quarantined, 0u);
+      for (const CheckpointEntry& e : snapshot->entries) {
+        EXPECT_FALSE(e.solved);
+        EXPECT_FALSE(e.quarantined);
+        EXPECT_EQ(e.rounds, c.max_rounds);
+        EXPECT_EQ(e.attempts, 1u);
+      }
+      continue;
+    }
+    EXPECT_EQ(res.quarantined, 3u);
+    ASSERT_EQ(res.failures.size(), 6u);  // 3 trials x 2 attempts
+    const std::string at =
+        "(round " + std::to_string(c.timeout_round) + ")";
+    for (const TrialFailure& f : res.failures) {
+      EXPECT_EQ(f.category, ErrorCategory::kTimeout);
+      EXPECT_NE(f.message.find(at), std::string::npos) << f.message;
+    }
+    for (const CheckpointEntry& e : snapshot->entries) {
+      EXPECT_TRUE(e.quarantined);
+      EXPECT_EQ(e.attempts, 2u);
+    }
   }
+  std::remove(ck.c_str());
+}
+
+/// Forwards every call to a SINR adapter and counts which resolve entry
+/// the engine uses.
+struct ResolveCounts {
+  std::atomic<std::size_t> ids{0};
+  std::atomic<std::size_t> mask{0};
+};
+
+class CountingAdapter final : public ChannelAdapter {
+ public:
+  CountingAdapter(std::unique_ptr<ChannelAdapter> inner, ResolveCounts& counts)
+      : inner_(std::move(inner)), counts_(counts) {}
+
+  std::string name() const override { return inner_->name(); }
+  bool provides_collision_detection() const override {
+    return inner_->provides_collision_detection();
+  }
+  bool resolves_listeners_independently() const override {
+    return inner_->resolves_listeners_independently();
+  }
+  bool supports_mask_resolve() const override {
+    return inner_->supports_mask_resolve();
+  }
+  void resolve(const Deployment& dep, std::span<const NodeId> transmitters,
+               std::span<const NodeId> listeners,
+               std::span<Feedback> out) const override {
+    ++counts_.ids;
+    inner_->resolve(dep, transmitters, listeners, out);
+  }
+  void resolve_mask(const Deployment& dep,
+                    std::span<const std::uint64_t> transmit_words,
+                    std::span<const std::uint64_t> listen_words,
+                    std::size_t transmitter_count,
+                    std::span<std::uint64_t> received) const override {
+    ++counts_.mask;
+    inner_->resolve_mask(dep, transmit_words, listen_words, transmitter_count,
+                         received);
+  }
+
+ private:
+  std::unique_ptr<ChannelAdapter> inner_;
+  ResolveCounts& counts_;
+};
+
+TEST(Campaign, RoundBudgetKeepsTheBitmaskLoop) {
+  const ChannelFactory sinr = sinr_channel_factory(3.0, 1.5, 1e-9);
+  ResolveCounts counts;
+  const ChannelFactory counting =
+      [&](const Deployment& dep) -> std::unique_ptr<ChannelAdapter> {
+    return std::make_unique<CountingAdapter>(sinr(dep), counts);
+  };
+  const AlgorithmFactory fading = [](const Deployment&) {
+    return std::make_unique<FadingContentionResolution>(0.2);
+  };
+  CampaignConfig cc = base_config(6);
+  cc.trial.engine.max_rounds = 1000000;
+  const CampaignResult plain =
+      CampaignRunner(uniform_factory(256), sinr, fading, cc).run();
+
+  cc.watchdog.round_budget = 100000;  // far beyond any completion
+  const CampaignResult watched =
+      CampaignRunner(uniform_factory(256), counting, fading, cc).run();
+  EXPECT_EQ(counts.ids.load(), 0u);
+  EXPECT_GE(counts.mask.load(), 1u);
+  EXPECT_TRUE(watched.failures.empty()) << watched.failure_report();
+  EXPECT_EQ(watched.result.solved, plain.result.solved);
+  EXPECT_EQ(watched.result.rounds, plain.result.rounds);
 }
 
 TEST(Campaign, WatchdogDoesNotPerturbHealthyTrials) {

@@ -161,7 +161,10 @@ TEST(FabricSpec, ParseRejectsMalformedText) {
   const fabric::SweepSpec spec;
   const std::string good = fabric::serialize_spec(spec);
   const std::vector<std::string> bads = {
-      "mystery_key=1;" + good, "n=notanumber", "n", good + ";trials=0"};
+      "mystery_key=1;" + good, "n=notanumber", "n", good + ";trials=0",
+      // 2^64 must not wrap to 0 (which would turn the watchdog off).
+      good + ";round_budget=18446744073709551616",
+      good + ";seed=99999999999999999999"};
   for (const std::string& bad : bads) {
     try {
       fabric::parse_spec(bad);

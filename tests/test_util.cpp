@@ -166,9 +166,18 @@ TEST(Cli, ListFlags) {
 TEST(Cli, MalformedNumbersThrowOnAccess) {
   CliParser cli("test");
   cli.add_flag("n", "10", "count");
+  cli.add_flag("huge", "99999999999999999999", "past 64 bits");
+  cli.add_flag("negative", "-1", "below zero");
+  cli.add_flag("list", "1,99999999999999999999", "past 64 bits");
   const char* argv[] = {"prog", "--n=abc"};
   ASSERT_TRUE(cli.parse(2, argv));
   EXPECT_THROW(cli.get_int("n"), std::invalid_argument);
+  EXPECT_THROW(cli.get_uint("n"), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("huge"), std::invalid_argument);
+  EXPECT_THROW(cli.get_uint("huge"), std::invalid_argument);
+  EXPECT_THROW(cli.get_int_list("list"), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("negative"), -1);
+  EXPECT_THROW(cli.get_uint("negative"), std::invalid_argument);
 }
 
 TEST(Cli, ValueRequiredForNonBoolean) {

@@ -23,6 +23,10 @@ function(expect_cli_error name expected_category expected_hint_fragment)
     message(FATAL_ERROR
       "${name}: stderr lacks hint '${expected_hint_fragment}':\n${err}")
   endif()
+  string(STRIP "${err}" err_line)
+  if(err_line MATCHES "\n")
+    message(FATAL_ERROR "${name}: stderr is not one line:\n${err}")
+  endif()
 endfunction()
 
 expect_cli_error(missing_deployment_file io "check the path"
@@ -36,6 +40,23 @@ expect_cli_error(zero_retries config "--help"
 
 expect_cli_error(negative_threads config "--help"
   --n 16 --trials 2 --threads -3)
+
+# Unsigned flags reject negative values instead of wrapping around, and an
+# integer that does not fit in 64 bits is rejected instead of clamped.
+expect_cli_error(negative_round_budget config "--help"
+  --n 16 --trials 2 --round-budget -1)
+
+expect_cli_error(negative_max_rounds config "--help"
+  --n 16 --trials 2 --max-rounds -1)
+
+expect_cli_error(negative_n config "--help"
+  --n -1 --trials 2)
+
+expect_cli_error(negative_trials config "--help"
+  --n 16 --trials -1)
+
+expect_cli_error(overflowing_round_budget config "--help"
+  --n 16 --trials 2 --round-budget 99999999999999999999999)
 
 # A corrupt checkpoint under --resume is NOT an error: the campaign must
 # report the rejection and fall back to a fresh run (exit 0).

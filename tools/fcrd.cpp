@@ -73,21 +73,19 @@ int run(int argc, const char* const* argv) {
   fabric::FabricConfig fc;
   fc.socket_path = cli.get_string("socket");
   fc.spec = fabric::spec_from_cli(cli);
-  fc.lease_trials = static_cast<std::size_t>(cli.get_int("lease-trials"));
-  fc.lease_timeout_ms =
-      static_cast<std::uint64_t>(cli.get_int("lease-timeout-ms"));
-  fc.worker_grace_ms = static_cast<std::uint64_t>(cli.get_int("grace-ms"));
-  fc.max_worker_strikes = static_cast<std::size_t>(cli.get_int("max-strikes"));
-  fc.backoff_base_ms =
-      static_cast<std::uint64_t>(cli.get_int("backoff-base-ms"));
-  fc.backoff_cap_ms = static_cast<std::uint64_t>(cli.get_int("backoff-cap-ms"));
-  fc.jitter_seed = static_cast<std::uint64_t>(cli.get_int("jitter-seed"));
+  fc.lease_trials = static_cast<std::size_t>(cli.get_uint("lease-trials"));
+  fc.lease_timeout_ms = cli.get_uint("lease-timeout-ms");
+  fc.worker_grace_ms = cli.get_uint("grace-ms");
+  fc.max_worker_strikes = static_cast<std::size_t>(cli.get_uint("max-strikes"));
+  fc.backoff_base_ms = cli.get_uint("backoff-base-ms");
+  fc.backoff_cap_ms = cli.get_uint("backoff-cap-ms");
+  fc.jitter_seed = cli.get_uint("jitter-seed");
   fc.allow_local_fallback = cli.get_bool("local-fallback");
 
   CampaignConfig cc = fabric::campaign_config(fc.spec);
   cc.checkpoint.path = cli.get_string("checkpoint");
   cc.checkpoint.every =
-      static_cast<std::size_t>(cli.get_int("checkpoint-every"));
+      static_cast<std::size_t>(cli.get_uint("checkpoint-every"));
   cc.checkpoint.resume = cli.get_bool("resume");
 
   const fabric::Factories factories = fabric::make_factories(fc.spec);

@@ -145,7 +145,7 @@ int run(int argc, const char* const* argv) {
   const bool campaign_mode = !cli.get_string("checkpoint").empty() ||
                              cli.get_bool("resume") ||
                              cli.get_int("threads") != 1 ||
-                             cli.get_int("round-budget") > 0 ||
+                             spec.round_budget > 0 ||
                              !fabric_socket.empty();
   TrialSetResult result;
   if (campaign_mode) {
@@ -153,7 +153,7 @@ int run(int argc, const char* const* argv) {
     cc.threads = static_cast<std::size_t>(cli.get_int("threads"));
     cc.checkpoint.path = cli.get_string("checkpoint");
     cc.checkpoint.every =
-        static_cast<std::size_t>(cli.get_int("checkpoint-every"));
+        static_cast<std::size_t>(cli.get_uint("checkpoint-every"));
     cc.checkpoint.resume = cli.get_bool("resume");
     CampaignRunner runner(deploy, channel, algorithm, cc);
     CampaignResult campaign;
@@ -162,7 +162,7 @@ int run(int argc, const char* const* argv) {
       fc.socket_path = fabric_socket;
       fc.spec = spec;
       fc.lease_trials =
-          static_cast<std::size_t>(cli.get_int("fabric-lease-trials"));
+          static_cast<std::size_t>(cli.get_uint("fabric-lease-trials"));
       fabric::SocketBackend backend(fc);
       campaign = runner.run_with(backend);
       const auto& st = backend.stats();

@@ -55,16 +55,15 @@ int run(int argc, const char* const* argv) {
     name << "fcrw#" << ::getpid();
     wc.name = name.str();
   }
-  wc.heartbeat_ms = static_cast<std::uint64_t>(cli.get_int("heartbeat-ms"));
-  wc.io_timeout_ms = static_cast<std::uint64_t>(cli.get_int("io-timeout-ms"));
-  wc.connect_retry_ms =
-      static_cast<std::uint64_t>(cli.get_int("connect-retry-ms"));
+  wc.heartbeat_ms = cli.get_uint("heartbeat-ms");
+  wc.io_timeout_ms = cli.get_uint("io-timeout-ms");
+  wc.connect_retry_ms = cli.get_uint("connect-retry-ms");
   wc.connect_attempts =
-      static_cast<std::size_t>(cli.get_int("connect-attempts"));
-  wc.max_resends = static_cast<std::size_t>(cli.get_int("max-resends"));
+      static_cast<std::size_t>(cli.get_uint("connect-attempts"));
+  wc.max_resends = static_cast<std::size_t>(cli.get_uint("max-resends"));
   wc.die_after_entries =
-      static_cast<std::size_t>(cli.get_int("die-after-entries"));
-  wc.max_leases = static_cast<std::size_t>(cli.get_int("max-leases"));
+      static_cast<std::size_t>(cli.get_uint("die-after-entries"));
+  wc.max_leases = static_cast<std::size_t>(cli.get_uint("max-leases"));
 
   fabric::WorkerStats stats;
   const bool clean = fabric::run_worker(wc, &stats);
