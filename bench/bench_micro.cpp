@@ -97,32 +97,6 @@ void BM_BatchResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchResolve)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_BatchResolveTiled(benchmark::State& state) {
-  // The approximate far-field tile accumulator (opt-in mode): aggregates
-  // distant tiles once per tile. Not bit-identical — see docs/PERF.md for
-  // the error bound.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Deployment dep = make_uniform(n);
-  const SinrParams params =
-      SinrParams::for_longest_link(3.0, 1.5, 1e-9, dep.max_link());
-  BatchResolveOptions options;
-  options.far_field_tiles = true;
-  BatchResolver resolver(params, options);
-  Rng rng(3);
-  std::vector<NodeId> tx, listeners;
-  for (NodeId i = 0; i < n; ++i) {
-    (rng.bernoulli(0.2) ? tx : listeners).push_back(i);
-  }
-  std::vector<Reception> out;
-  for (auto _ : state) {
-    resolver.resolve(dep, tx, listeners, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tx.size() * listeners.size()));
-}
-BENCHMARK(BM_BatchResolveTiled)->Arg(1024)->Arg(4096)->Arg(16384);
-
 void BM_SinrResolveExhaustive(benchmark::State& state) {
   // The O(T^2 L) reference resolver; the ratio to BM_SinrResolve quantifies
   // the strongest-transmitter optimization (expect ~T x).

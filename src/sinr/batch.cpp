@@ -22,20 +22,15 @@
 namespace fcr {
 namespace {
 
-/// Accumulator lanes for the blocked scan loops. Eight doubles fill an
-/// AVX-512 register (or two AVX2 ones); GCC vectorizes the fixed-trip
-/// inner loops where it refuses to vectorize a plain FP reduction.
+/// Accumulator lanes for the blocked scan loops and listeners per block of
+/// the bitmask sweep. Eight doubles fill an AVX-512 register (or two AVX2
+/// ones); GCC vectorizes the fixed-trip inner loops where it refuses to
+/// vectorize a plain FP reduction.
 constexpr std::size_t kLanes = 8;
 
 /// Below this many transmitters the filter's fixed overhead beats its
 /// savings; go straight to the exact scan.
 constexpr std::size_t kFilterMinTransmitters = 16;
-
-/// The tile accumulator needs enough transmitters for far tiles to exist.
-constexpr std::size_t kTileMinTransmitters = 64;
-
-/// Never build absurd tile grids (degenerate extents, tiny tile_size).
-constexpr std::size_t kMaxTiles = std::size_t{1} << 20;
 
 /// Certification margin for the reciprocal-sqrt filter (alpha = 3).
 /// fast_rsqrt's measured worst-case relative error over [1e-6, 1e12] is
@@ -54,15 +49,24 @@ constexpr double kEpsReassoc = 1e-9;
 /// exact scan (d2 this small means nodes ~1e-150 apart — never legitimate).
 constexpr double kMinNormalD2 = 1e-300;
 
+/// Robertson's 64-bit magic constant: the seed of fast_rsqrt and of its
+/// lane form in pass_block.
+constexpr std::uint64_t kRsqrtMagic = 0x5FE6EB50C7B537A9ULL;
+
 /// Approximate 1/sqrt(x) for normal positive doubles: the classic
-/// magic-constant seed (Robertson's 64-bit constant) plus two
-/// Newton-Raphson steps. Relative error <= ~5e-6; see kEpsRsqrt.
+/// magic-constant seed plus two Newton-Raphson steps. Relative error
+/// <= ~5e-6; see kEpsRsqrt.
 inline double fast_rsqrt(double x) {
-  double y = std::bit_cast<double>(0x5FE6EB50C7B537A9ULL -
+  double y = std::bit_cast<double>(kRsqrtMagic -
                                    (std::bit_cast<std::uint64_t>(x) >> 1));
   y = y * (1.5 - 0.5 * x * y * y);
   y = y * (1.5 - 0.5 * x * y * y);
   return y;
+}
+
+/// Screening margin of the filter's approximate total power for `kind`.
+double screening_eps(AlphaKind kind) {
+  return kind == AlphaKind::kThree ? kEpsRsqrt : kEpsReassoc;
 }
 
 /// Squared distance from (vx, vy) to every transmitter. Same expression
@@ -125,109 +129,130 @@ double pass_sum(const double* d2, std::size_t n, Term term) {
   return total;
 }
 
+/// kLanes listeners as one GCC/Clang vector value (the vector_size
+/// extension): arithmetic and comparisons are elementwise, a scalar
+/// operand is broadcast to every lane, and a cast between same-size vector
+/// types reinterprets the bits. Values of these types are only ever locals
+/// or passed by reference: passing a 64-byte vector by value has a
+/// different calling convention with and without AVX-512 (GCC's -Wpsabi).
+typedef double Lanes __attribute__((vector_size(kLanes * sizeof(double))));
+typedef std::uint64_t LaneBits
+    __attribute__((vector_size(kLanes * sizeof(std::uint64_t))));
+
 /// Listener-blocked fused filter sweep for the bitmask path: resolves
 /// kLanes listeners at once against the whole transmitter set, producing
 /// each listener's exact minimum squared distance and its approximate
 /// total-power screening sum in ONE pass over the transmitter arrays.
 ///
-/// This is the transpose of resolve_plain's per-listener scans — the
-/// vector dimension is LISTENERS, not transmitters. That matters: fusing
-/// min tracking and the term sum into resolve_plain's transmitter-major
-/// loop serializes the vector dimension on the reduction recurrences
-/// (measured ~30% slower), while here each lane is an independent
-/// listener, the inner fixed-trip loop has no cross-iteration
-/// dependencies, and every transmitter load is amortized over kLanes
-/// listeners.
+/// The vector dimension is LISTENERS: each transmitter is broadcast and
+/// updates all eight lanes, so every transmitter load is amortized over
+/// eight listeners and no lane depends on another. The block is one
+/// explicit Lanes value because GCC, given the same loop nest over
+/// double[8] arrays, vectorized across the unrolled transmitters instead
+/// and permuted the accumulators between registers on every step
+/// (2.2-2.6x slower on AVX-512 for alpha = 3, see docs/PERF.md §6.3).
 ///
-/// Decisive quantities stay exact: d2 uses the same contraction-free
-/// expression as pass_d2, and the minimum of a fixed non-NaN set is
-/// fold-order independent (NaN distances never win, as in pass_argmin).
-/// The screening sum accumulates in plain transmitter order — a
-/// different rounding order than pass_sum's lane-blocked one, but the
-/// certification margins only need |error| <= eps, which sequential
-/// summation satisfies with the same n * 2^-53 bound (see kEpsReassoc).
-/// The mask path never needs the argmin INDEX (received bits carry no
-/// sender id), so no index lanes are tracked at all.
-template <typename Term>
+/// Each lane computes d2 with pass_d2's contraction-free expression, so
+/// the minimum is the exact double the reference scan finds (the minimum
+/// of a fixed non-NaN set is fold-order independent; NaN distances never
+/// win, as in pass_argmin). The screening terms are fast_rsqrt's and
+/// resolve_plain's expressions, lane by lane; IEEE elementwise operations
+/// round exactly like scalar ones. The screening sum's four chains round
+/// differently than pass_sum's lane-blocked order, but the certification
+/// margins only need |error| <= eps, which both orders satisfy with the
+/// same n * 2^-53 bound (see kEpsReassoc). The mask path never needs the
+/// argmin INDEX (received bits carry no sender id), so no index lanes are
+/// tracked at all.
+template <AlphaKind kKind>
 void pass_block(const double* __restrict txx, const double* __restrict txy,
-                std::size_t t, const double* __restrict lx,
-                const double* __restrict ly, Term term,
-                double* __restrict mm_out, double* __restrict sum_out) {
-  // Four independent accumulator sets over the transmitter loop: with a
-  // single set, every j step extends one serial FP add/min chain per lane
-  // vector and the sweep runs at ADD LATENCY per transmitter instead of
-  // throughput (measured ~30% slower than the per-listener passes, whose
-  // reduction dimension is 8-wide by construction). Four chains hide it.
-  constexpr std::size_t kUnroll = 4;
-  double mm[kUnroll][kLanes];
-  double acc[kUnroll][kLanes] = {};
-  for (std::size_t u = 0; u < kUnroll; ++u) {
-    for (std::size_t k = 0; k < kLanes; ++k) {
-      mm[u][k] = std::numeric_limits<double>::infinity();
+                std::size_t t, const Lanes& lx, const Lanes& ly, double p,
+                Lanes& mm_out, Lanes& sum_out) {
+  const auto step = [&](std::size_t j, Lanes& acc, Lanes& mm) {
+    const Lanes dx = lx - txx[j];
+    const Lanes dy = ly - txy[j];
+    const Lanes x = dx * dx + dy * dy;
+    Lanes term = {};
+    if constexpr (kKind == AlphaKind::kTwo) {
+      term = p / x;
+    } else if constexpr (kKind == AlphaKind::kThree) {
+      Lanes y = (Lanes)(kRsqrtMagic - ((LaneBits)x >> 1));
+      y = y * (1.5 - 0.5 * x * y * y);
+      y = y * (1.5 - 0.5 * x * y * y);
+      term = p * (y * y * y);
+    } else if constexpr (kKind == AlphaKind::kFour) {
+      term = p / (x * x);
+    } else {
+      static_assert(kKind == AlphaKind::kSix, "no closed-form lane term");
+      term = p / (x * x * x);
     }
-  }
+    // The screening margin absorbs this sum's reduction-order error (the
+    // decisive sums use pairwise_sum).
+    // FCRLINT_ALLOW(fp-accumulate): screening-only sum.
+    acc += term;
+    mm = x < mm ? x : mm;
+  };
+  // Four sum chains over the transmitter loop (the tail joins chain 0),
+  // folded 0+1+2+3. Any order meets the eps margins; this one keeps every
+  // lane's screening sum identical to the sweep's earlier double[8] form
+  // (docs/PERF.md §6.3). The minimum is exact in any order and keeps one
+  // chain: three more would take registers that the 2- and 4-register
+  // lowerings of a Lanes value (AVX2, SSE2) cannot spare.
+  Lanes acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {};
+  Lanes mm = Lanes{} + std::numeric_limits<double>::infinity();
   std::size_t j = 0;
-  for (; j + kUnroll <= t; j += kUnroll) {
-    for (std::size_t u = 0; u < kUnroll; ++u) {
-      const double bx = txx[j + u];
-      const double by = txy[j + u];
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        const double dx = lx[k] - bx;
-        const double dy = ly[k] - by;
-        const double x = dx * dx + dy * dy;
-        // FCRLINT_ALLOW(fp-accumulate): screening-only sum; the margin
-        // absorbs the reduction-order error (decisive sums use
-        // pairwise_sum).
-        acc[u][k] += term(x);
-        mm[u][k] = x < mm[u][k] ? x : mm[u][k];
-      }
-    }
+  for (; j + 4 <= t; j += 4) {
+    step(j, acc0, mm);
+    step(j + 1, acc1, mm);
+    step(j + 2, acc2, mm);
+    step(j + 3, acc3, mm);
   }
-  for (; j < t; ++j) {
-    const double bx = txx[j];
-    const double by = txy[j];
-    for (std::size_t k = 0; k < kLanes; ++k) {
-      const double dx = lx[k] - bx;
-      const double dy = ly[k] - by;
-      const double x = dx * dx + dy * dy;
-      // FCRLINT_ALLOW(fp-accumulate): tail of the same screening-only sum.
-      acc[0][k] += term(x);
-      mm[0][k] = x < mm[0][k] ? x : mm[0][k];
-    }
+  for (; j < t; ++j) step(j, acc0, mm);
+  mm_out = mm;
+  sum_out = acc0 + acc1 + acc2 + acc3;
+}
+
+/// The certified filter's verdict on one listener.
+enum class Verdict { kDecodes, kSilent, kUnsure };
+
+/// Certification: `mm` is the listener's EXACT minimum squared distance,
+/// so sbest is the same double the exact scan computes for the best
+/// transmitter. `stotal` approximates the total received power with
+/// per-term relative error <= eps, so the exact interference
+/// I = S - sbest lies within +-margin of itilde; a verdict is certain only
+/// if it holds at BOTH ends of that interval. Degenerate distances and
+/// non-finite values are never certain.
+Verdict certify(const SinrChannel& channel, double mm, double stotal,
+                double eps) {
+  if (!(mm >= kMinNormalD2)) return Verdict::kUnsure;
+  const double sbest = channel.signal_from_dist_sq(mm);
+  if (!std::isfinite(stotal) || !std::isfinite(sbest)) {
+    return Verdict::kUnsure;
   }
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    double m = mm[0][k];
-    double s = acc[0][k];
-    for (std::size_t u = 1; u < kUnroll; ++u) {
-      m = mm[u][k] < m ? mm[u][k] : m;
-      // FCRLINT_ALLOW(fp-accumulate): chain fold of the screening-only sum.
-      s += acc[u][k];
-    }
-    mm_out[k] = m;
-    sum_out[k] = s;
-  }
+  const double itilde = stotal - sbest;
+  const double margin = eps * (stotal + sbest);
+  const SinrParams& prm = channel.params();
+  const double ihigh = (itilde > 0.0 ? itilde : 0.0) + margin;
+  const double ilow_raw = itilde - margin;
+  const double ilow = ilow_raw > 0.0 ? ilow_raw : 0.0;
+  if (sbest >= prm.beta * (prm.noise + ihigh)) return Verdict::kDecodes;
+  if (sbest < prm.beta * (prm.noise + ilow)) return Verdict::kSilent;
+  return Verdict::kUnsure;
 }
 
 }  // namespace
 
-BatchResolver::BatchResolver(SinrParams params, BatchResolveOptions options)
-    : BatchResolver(SinrChannel(params), options) {}
+BatchResolver::BatchResolver(SinrParams params)
+    : BatchResolver(SinrChannel(params)) {}
 
-BatchResolver::BatchResolver(SinrChannel channel, BatchResolveOptions options)
-    : channel_(std::move(channel)), options_(options) {
-  FCR_ENSURE_ARG(options_.tile_size >= 0.0, "tile_size must be >= 0");
-  FCR_ENSURE_ARG(!options_.far_field_tiles || options_.near_ring >= 1,
-                 "near_ring must be >= 1");
-}
+BatchResolver::BatchResolver(SinrChannel channel)
+    : channel_(std::move(channel)) {}
 
-void BatchResolver::load_transmitters(const Deployment& dep,
-                                      std::span<const NodeId> transmitters) {
-  const std::size_t t = transmitters.size();
-  tx_ids_.assign(transmitters.begin(), transmitters.end());
+void BatchResolver::load_positions(const Deployment& dep) {
+  const std::size_t t = tx_ids_.size();
   tx_x_.resize(t);
   tx_y_.resize(t);
   for (std::size_t j = 0; j < t; ++j) {
-    const Vec2 p = dep.position(transmitters[j]);
+    const Vec2 p = dep.position(tx_ids_[j]);
     tx_x_[j] = p.x;
     tx_y_[j] = p.y;
   }
@@ -240,17 +265,15 @@ void BatchResolver::resolve(const Deployment& dep,
   out.assign(listeners.size(), Reception{});
   stats_ = Stats{};
   stats_.listeners = listeners.size();
-  if (transmitters.empty()) return;
-
-  load_transmitters(dep, transmitters);
-  tiles_.valid = false;
-  if (options_.far_field_tiles &&
-      transmitters.size() >= kTileMinTransmitters) {
-    build_tiles();
+  if (transmitters.empty()) {
+    stats_.unfiltered = listeners.size();
+    return;
   }
+
+  tx_ids_.assign(transmitters.begin(), transmitters.end());
+  load_positions(dep);
   for (std::size_t i = 0; i < listeners.size(); ++i) {
-    const Vec2 v = dep.position(listeners[i]);
-    out[i] = tiles_.valid ? resolve_tiled(v) : resolve_plain(v);
+    out[i] = resolve_plain(dep.position(listeners[i]));
   }
 }
 
@@ -266,9 +289,6 @@ void BatchResolver::resolve_mask(const Deployment& dep,
                                  std::span<const std::uint64_t> transmit_words,
                                  std::span<const std::uint64_t> listen_words,
                                  std::span<std::uint64_t> received_out) {
-  FCR_ENSURE_ARG(!options_.far_field_tiles,
-                 "resolve_mask is exact-only: the approximate far-field tile "
-                 "mode has no bitmask path");
   FCR_ENSURE_ARG(received_out.size() == listen_words.size(),
                  "received mask word count mismatch: " << received_out.size()
                                                        << " vs "
@@ -287,20 +307,19 @@ void BatchResolver::resolve_mask(const Deployment& dep,
       bits &= bits - 1;
     }
   }
-  if (tx_ids_.empty()) return;
-  const std::size_t t = tx_ids_.size();
-  tx_x_.resize(t);
-  tx_y_.resize(t);
-  for (std::size_t j = 0; j < t; ++j) {
-    const Vec2 p = dep.position(tx_ids_[j]);
-    tx_x_[j] = p.x;
-    tx_y_[j] = p.y;
+  if (tx_ids_.empty()) {
+    for (const std::uint64_t bits : listen_words) {
+      stats_.listeners += static_cast<std::size_t>(std::popcount(bits));
+    }
+    stats_.unfiltered = stats_.listeners;
+    return;
   }
+  load_positions(dep);
 
   // Rounds eligible for the certified filter go through the
   // listener-blocked sweep (kLanes listeners per transmitter pass);
   // small or generic-alpha rounds keep the per-listener exact pipeline.
-  if (t >= kFilterMinTransmitters &&
+  if (tx_ids_.size() >= kFilterMinTransmitters &&
       channel_.alpha_kind() != AlphaKind::kGeneric) {
     resolve_mask_filtered(dep, listen_words, received_out);
     return;
@@ -325,81 +344,58 @@ void BatchResolver::resolve_mask(const Deployment& dep,
 void BatchResolver::resolve_mask_filtered(
     const Deployment& dep, std::span<const std::uint64_t> listen_words,
     std::span<std::uint64_t> received_out) {
-  constexpr std::size_t kBlock = kLanes;
   const std::size_t t = tx_ids_.size();
   const double p = channel_.params().power;
   const AlphaKind kind = channel_.alpha_kind();
+  const double eps = screening_eps(kind);
 
   // Listener block staged from the bitmask enumeration: ids visit in the
   // same ascending order as the per-listener loop, so per-listener throws
   // (colocated nodes) fire at the same listener.
-  std::size_t word_of[kBlock];
-  int bit_of[kBlock];
-  double lx[kBlock], ly[kBlock];
-  double mm[kBlock], stotal[kBlock];
+  std::size_t word_of[kLanes] = {};
+  int bit_of[kLanes] = {};
+  Lanes lx = {}, ly = {};
+  Lanes mm = {}, stotal = {};
   std::size_t fill = 0;
 
   auto flush_block = [&]() {
-    double eps = kEpsRsqrt;
     switch (kind) {
       case AlphaKind::kTwo:
-        pass_block(
-            tx_x_.data(), tx_y_.data(), t, lx, ly,
-            [p](double x) { return p / x; }, mm, stotal);
-        eps = kEpsReassoc;
+        pass_block<AlphaKind::kTwo>(tx_x_.data(), tx_y_.data(), t, lx, ly, p,
+                                    mm, stotal);
         break;
       case AlphaKind::kThree:
-        pass_block(
-            tx_x_.data(), tx_y_.data(), t, lx, ly,
-            [p](double x) {
-              const double y = fast_rsqrt(x);
-              return p * (y * y * y);
-            },
-            mm, stotal);
-        eps = kEpsRsqrt;
+        pass_block<AlphaKind::kThree>(tx_x_.data(), tx_y_.data(), t, lx, ly,
+                                      p, mm, stotal);
         break;
       case AlphaKind::kFour:
-        pass_block(
-            tx_x_.data(), tx_y_.data(), t, lx, ly,
-            [p](double x) { return p / (x * x); }, mm, stotal);
-        eps = kEpsReassoc;
+        pass_block<AlphaKind::kFour>(tx_x_.data(), tx_y_.data(), t, lx, ly,
+                                     p, mm, stotal);
         break;
       case AlphaKind::kSix:
-        pass_block(
-            tx_x_.data(), tx_y_.data(), t, lx, ly,
-            [p](double x) { return p / (x * x * x); }, mm, stotal);
-        eps = kEpsReassoc;
+        pass_block<AlphaKind::kSix>(tx_x_.data(), tx_y_.data(), t, lx, ly, p,
+                                    mm, stotal);
         break;
       case AlphaKind::kGeneric:
         FCR_CHECK_MSG(false, "generic alpha has no filtered mask path");
     }
-    const SinrParams& prm = channel_.params();
-    for (std::size_t k = 0; k < kBlock; ++k) {
+    for (std::size_t k = 0; k < kLanes; ++k) {
       FCR_ENSURE_ARG(mm[k] > 0.0,
                      "signal at zero distance is undefined (colocated nodes)");
-      bool rec;
-      const double sbest =
-          mm[k] >= kMinNormalD2 ? channel_.signal_from_dist_sq(mm[k]) : 0.0;
-      if (mm[k] >= kMinNormalD2 && std::isfinite(stotal[k]) &&
-          std::isfinite(sbest)) {
-        const double itilde = stotal[k] - sbest;
-        const double margin = eps * (stotal[k] + sbest);
-        const double ihigh = (itilde > 0.0 ? itilde : 0.0) + margin;
-        const double ilow_raw = itilde - margin;
-        const double ilow = ilow_raw > 0.0 ? ilow_raw : 0.0;
-        if (sbest >= prm.beta * (prm.noise + ihigh)) {
+      bool rec = false;
+      switch (certify(channel_, mm[k], stotal[k], eps)) {
+        case Verdict::kDecodes:
           ++stats_.certified;
           rec = true;
-        } else if (sbest < prm.beta * (prm.noise + ilow)) {
+          break;
+        case Verdict::kSilent:
           ++stats_.certified;
-          rec = false;
-        } else {
+          break;
+        case Verdict::kUnsure:
+          // The per-listener pipeline books this listener itself and
+          // reproduces the reference bit exactly.
           rec = resolve_plain(Vec2{lx[k], ly[k]}).received();
-        }
-      } else {
-        // Degenerate distances / non-finite screening values: the full
-        // per-listener pipeline reproduces the reference behavior exactly.
-        rec = resolve_plain(Vec2{lx[k], ly[k]}).received();
+          break;
       }
       if (rec) {
         received_out[word_of[k]] |= std::uint64_t{1} << bit_of[k];
@@ -420,10 +416,10 @@ void BatchResolver::resolve_mask_filtered(
       bit_of[fill] = b;
       lx[fill] = pos.x;
       ly[fill] = pos.y;
-      if (++fill == kBlock) flush_block();
+      if (++fill == kLanes) flush_block();
     }
   }
-  // Ragged tail: fewer than kBlock listeners left — the per-listener
+  // Ragged tail: fewer than kLanes listeners left — the per-listener
   // pipeline costs the same as padding would and needs no phantom lanes.
   for (std::size_t k = 0; k < fill; ++k) {
     if (resolve_plain(Vec2{lx[k], ly[k]}).received()) {
@@ -442,68 +438,49 @@ Reception BatchResolver::resolve_plain(Vec2 v) {
                  "signal at zero distance is undefined (colocated nodes)");
 
   const AlphaKind kind = channel_.alpha_kind();
-  if (t < kFilterMinTransmitters || kind == AlphaKind::kGeneric ||
-      !(mm >= kMinNormalD2)) {
+  if (t < kFilterMinTransmitters || kind == AlphaKind::kGeneric) {
+    ++stats_.unfiltered;
     return resolve_exact(best);
   }
 
   const double p = channel_.params().power;
   double stotal = 0.0;
-  double eps = kEpsRsqrt;
   switch (kind) {
     case AlphaKind::kTwo:
       stotal = pass_sum(d2_.data(), t, [p](double x) { return p / x; });
-      eps = kEpsReassoc;
       break;
     case AlphaKind::kThree:
       stotal = pass_sum(d2_.data(), t, [p](double x) {
         const double y = fast_rsqrt(x);
         return p * (y * y * y);
       });
-      eps = kEpsRsqrt;
       break;
     case AlphaKind::kFour:
       stotal = pass_sum(d2_.data(), t, [p](double x) { return p / (x * x); });
-      eps = kEpsReassoc;
       break;
     case AlphaKind::kSix:
       stotal =
           pass_sum(d2_.data(), t, [p](double x) { return p / (x * x * x); });
-      eps = kEpsReassoc;
       break;
     case AlphaKind::kGeneric:
-      return resolve_exact(best);  // unreachable (gated above)
+      break;  // unreachable (gated above)
   }
 
-  // Certification: sbest is the EXACT canonical signal of the best
-  // transmitter (same double the exact scan computes from d2_[best]).
-  // stotal approximates the total received power with per-term relative
-  // error <= eps, so the exact interference I = S - sbest lies within
-  // +-margin of itilde; a decision is accepted only if it would hold at
-  // BOTH ends of that interval. Everything else reruns exactly.
-  const double sbest = channel_.signal_from_dist_sq(mm);
-  if (!std::isfinite(stotal) || !std::isfinite(sbest)) {
-    return resolve_exact(best);
+  switch (certify(channel_, mm, stotal, screening_eps(kind))) {
+    case Verdict::kDecodes:
+      ++stats_.certified;
+      return Reception{tx_ids_[best]};
+    case Verdict::kSilent:
+      ++stats_.certified;
+      return Reception{};
+    case Verdict::kUnsure:
+      break;
   }
-  const double itilde = stotal - sbest;
-  const double margin = eps * (stotal + sbest);
-  const SinrParams& prm = channel_.params();
-  const double ihigh = (itilde > 0.0 ? itilde : 0.0) + margin;
-  const double ilow_raw = itilde - margin;
-  const double ilow = ilow_raw > 0.0 ? ilow_raw : 0.0;
-  if (sbest >= prm.beta * (prm.noise + ihigh)) {
-    ++stats_.certified;
-    return Reception{tx_ids_[best]};
-  }
-  if (sbest < prm.beta * (prm.noise + ilow)) {
-    ++stats_.certified;
-    return Reception{};
-  }
+  ++stats_.exact_fallbacks;
   return resolve_exact(best);
 }
 
 Reception BatchResolver::resolve_exact(std::size_t best) {
-  ++stats_.exact_fallbacks;
   const std::size_t t = tx_ids_.size();
   sig_.resize(t);
   for (std::size_t j = 0; j < t; ++j) {
@@ -512,159 +489,6 @@ Reception BatchResolver::resolve_exact(std::size_t best) {
   const double interference = pairwise_sum_excluding(sig_, best, scratch_);
   if (channel_.decodes(sig_[best], interference)) {
     return Reception{tx_ids_[best]};
-  }
-  return Reception{};
-}
-
-void BatchResolver::build_tiles() {
-  TileGrid& g = tiles_;
-  g.valid = false;
-  const std::size_t t = tx_ids_.size();
-
-  double min_x = tx_x_[0], max_x = tx_x_[0];
-  double min_y = tx_y_[0], max_y = tx_y_[0];
-  for (std::size_t j = 1; j < t; ++j) {
-    min_x = std::min(min_x, tx_x_[j]);
-    max_x = std::max(max_x, tx_x_[j]);
-    min_y = std::min(min_y, tx_y_[j]);
-    max_y = std::max(max_y, tx_y_[j]);
-  }
-  const double extent = std::max(max_x - min_x, max_y - min_y);
-
-  double size = options_.tile_size;
-  if (size <= 0.0) {
-    // Tile count ~ T^(2/3): per-listener work is (near members) + (far
-    // tiles) ~ T*ring^2/G + G, minimized around G ~ T^(2/3).
-    const double dim = std::clamp(2.0 * std::cbrt(static_cast<double>(t)),
-                                  4.0, 512.0);
-    size = extent / dim;
-  }
-  if (!(size > 0.0) || !std::isfinite(size)) return;  // degenerate extent
-
-  g.min_x = min_x;
-  g.min_y = min_y;
-  g.size = size;
-  g.inv_size = 1.0 / size;
-  g.gx = static_cast<std::size_t>((max_x - min_x) * g.inv_size) + 1;
-  g.gy = static_cast<std::size_t>((max_y - min_y) * g.inv_size) + 1;
-  if (g.gx == 0 || g.gy == 0 || g.gx > kMaxTiles / g.gy) return;
-  const std::size_t tiles = g.gx * g.gy;
-
-  const auto tile_of = [&g](double x, double y) {
-    std::size_t ix = static_cast<std::size_t>((x - g.min_x) * g.inv_size);
-    std::size_t iy = static_cast<std::size_t>((y - g.min_y) * g.inv_size);
-    ix = std::min(ix, g.gx - 1);
-    iy = std::min(iy, g.gy - 1);
-    return iy * g.gx + ix;
-  };
-
-  // Counting sort of transmitter indices by tile id: deterministic, and
-  // members within a tile stay in ascending transmitter order.
-  g.offsets.assign(tiles + 1, 0);
-  for (std::size_t j = 0; j < t; ++j) {
-    ++g.offsets[tile_of(tx_x_[j], tx_y_[j]) + 1];
-  }
-  for (std::size_t i = 0; i < tiles; ++i) g.offsets[i + 1] += g.offsets[i];
-  g.members.resize(t);
-  std::vector<std::size_t> cursor(g.offsets.begin(), g.offsets.end() - 1);
-  for (std::size_t j = 0; j < t; ++j) {
-    g.members[cursor[tile_of(tx_x_[j], tx_y_[j])]++] = j;
-  }
-
-  g.cx.assign(tiles, 0.0);
-  g.cy.assign(tiles, 0.0);
-  g.occupied.clear();
-  for (std::size_t id = 0; id < tiles; ++id) {
-    const std::size_t begin = g.offsets[id], end = g.offsets[id + 1];
-    if (begin == end) continue;
-    double sx = 0.0, sy = 0.0;
-    for (std::size_t k = begin; k < end; ++k) {
-      // Tile centroids feed only the documented-approximate far field;
-      // member order is fixed, so the sum is still deterministic.
-      // FCRLINT_ALLOW(fp-accumulate): centroid of the approximate far field.
-      sx += tx_x_[g.members[k]];
-      // FCRLINT_ALLOW(fp-accumulate): same centroid sum as sx above.
-      sy += tx_y_[g.members[k]];
-    }
-    const double count = static_cast<double>(end - begin);
-    g.cx[id] = sx / count;
-    g.cy[id] = sy / count;
-    g.occupied.push_back(id);
-  }
-  g.valid = true;
-}
-
-Reception BatchResolver::resolve_tiled(Vec2 v) {
-  const TileGrid& g = tiles_;
-  const auto clamp_idx = [](double r, std::size_t n) {
-    if (!(r > 0.0)) return std::size_t{0};
-    const auto i = static_cast<std::size_t>(r);
-    return i >= n ? n - 1 : i;
-  };
-  const std::size_t vix = clamp_idx((v.x - g.min_x) * g.inv_size, g.gx);
-  const std::size_t viy = clamp_idx((v.y - g.min_y) * g.inv_size, g.gy);
-  const std::size_t ring = options_.near_ring;
-
-  // Gather near-ring members (ascending tile id, ascending index within).
-  near_.clear();
-  const std::size_t ix_lo = vix > ring ? vix - ring : 0;
-  const std::size_t ix_hi = std::min(g.gx - 1, vix + ring);
-  const std::size_t iy_lo = viy > ring ? viy - ring : 0;
-  const std::size_t iy_hi = std::min(g.gy - 1, viy + ring);
-  for (std::size_t iy = iy_lo; iy <= iy_hi; ++iy) {
-    for (std::size_t ix = ix_lo; ix <= ix_hi; ++ix) {
-      const std::size_t id = iy * g.gx + ix;
-      for (std::size_t k = g.offsets[id]; k < g.offsets[id + 1]; ++k) {
-        near_.push_back(g.members[k]);
-      }
-    }
-  }
-  // No transmitter anywhere near: the strongest one is in some far tile,
-  // and approximating ITS signal is exactly what the tile mode must not
-  // do to the decisive term — resolve this listener exactly instead.
-  if (near_.empty()) return resolve_plain(v);
-
-  // Near field: exact signals; best transmitter = argmin d2 among near
-  // members (the global nearest lives in the ring except in corner-case
-  // geometries — tile mode is approximate, see docs/PERF.md).
-  sig_.resize(near_.size());
-  double best_d2 = std::numeric_limits<double>::infinity();
-  std::size_t best_k = 0;
-  for (std::size_t k = 0; k < near_.size(); ++k) {
-    const std::size_t j = near_[k];
-    const double dx = tx_x_[j] - v.x;
-    const double dy = tx_y_[j] - v.y;
-    const double d2 = dx * dx + dy * dy;
-    sig_[k] = channel_.signal_from_dist_sq(d2);
-    if (d2 < best_d2) {
-      best_d2 = d2;
-      best_k = k;
-    }
-  }
-  const double i_near = pairwise_sum_excluding(sig_, best_k, scratch_);
-
-  // Far field: one signal evaluation per occupied tile beyond the ring,
-  // weighted by the tile's transmitter count, summed in ascending tile id
-  // order (deterministic).
-  double i_far = 0.0;
-  for (const std::size_t id : g.occupied) {
-    const std::size_t ix = id % g.gx;
-    const std::size_t iy = id / g.gx;
-    const std::size_t ddx = ix > vix ? ix - vix : vix - ix;
-    const std::size_t ddy = iy > viy ? iy - viy : viy - iy;
-    if (std::max(ddx, ddy) <= ring) continue;
-    const double d2c = dist_sq(Vec2{g.cx[id], g.cy[id]}, v);
-    const double count =
-        static_cast<double>(g.offsets[id + 1] - g.offsets[id]);
-    // Far-field term of the documented-approximate tile mode; summed in
-    // ascending tile id (deterministic), never part of the exact contract.
-    // FCRLINT_ALLOW(fp-accumulate): approximate far-field sum, fixed order.
-    i_far += count * channel_.signal_from_dist_sq(d2c);
-  }
-
-  ++stats_.tiled;
-  if (channel_.decodes(sig_[best_k], i_near + i_far)) {
-    return Reception{tx_ids_[near_[best_k]]};
   }
   return Reception{};
 }

@@ -1,26 +1,20 @@
 // Batched SINR round resolution — the hot path behind the trial engine.
 //
 // BatchResolver answers the same question as SinrChannel::resolve() and is
-// BIT-IDENTICAL to it in the default (exact) mode, but is built for
-// throughput when one round resolves many listeners against the same
-// transmitter set:
+// BIT-IDENTICAL to it, but is built for throughput when one round resolves
+// many listeners against the same transmitter set:
 //
 //   * flat transmitter position arrays and per-listener scratch are cached
 //     across the round's listener scans (and across rounds — the resolver
 //     is meant to live as long as the trial);
 //   * a CERTIFIED approximate filter decides most listeners with cheap
-//     vectorizable passes (squared distances, a lane-blocked argmin, and a
+//     vectorized passes (squared distances, a lane-blocked argmin, and a
 //     reciprocal-sqrt approximation of the total received power). The
 //     filter only accepts a decision when the approximation error bound
 //     proves the exact comparison would agree; every near-threshold
 //     listener falls back to the exact canonical scan, so the OUTPUT is
 //     bit-for-bit the reference answer while the typical cost per listener
-//     drops by >2x (see docs/PERF.md);
-//   * an OPTIONAL far-field tile accumulator (off by default) aggregates
-//     interference from distant tiles once per tile instead of once per
-//     transmitter. That mode is approximate — decisions near the SINR
-//     threshold may differ from the exact resolver — and exists for
-//     very large sweeps that can tolerate the documented error bound.
+//     drops by >2x (see docs/PERF.md).
 //
 // Thread-safety: a BatchResolver owns mutable scratch, so concurrent
 // resolve() calls on ONE instance are not allowed. Use one resolver per
@@ -38,44 +32,36 @@
 
 namespace fcr {
 
-/// Tuning knobs for BatchResolver. The defaults are the exact mode.
-struct BatchResolveOptions {
-  /// Enables the approximate far-field tile accumulator. OFF by default:
-  /// when set, decisions are no longer guaranteed bit-identical to
-  /// SinrChannel::resolve() (see docs/PERF.md for the error bound).
-  bool far_field_tiles = false;
-  /// Tile side length; 0 picks one from the transmitter bounding box so
-  /// the tile count grows like T^(2/3).
-  double tile_size = 0.0;
-  /// Tiles within this Chebyshev tile distance of the listener's tile are
-  /// resolved exactly, per transmitter; tiles beyond it contribute
-  /// count * signal(centroid distance). Must be >= 1.
-  std::size_t near_ring = 3;
-};
-
 /// Reusable batched resolver bound to one channel parameter set.
 class BatchResolver {
  public:
-  explicit BatchResolver(SinrParams params, BatchResolveOptions options = {});
-  explicit BatchResolver(SinrChannel channel, BatchResolveOptions options = {});
+  explicit BatchResolver(SinrParams params);
+  explicit BatchResolver(SinrChannel channel);
 
   const SinrChannel& channel() const { return channel_; }
-  const BatchResolveOptions& options() const { return options_; }
 
-  /// Per-call accounting, reset by every resolve(): how many listeners the
-  /// certified filter decided outright, how many needed the exact
-  /// fallback scan, and how many went through the (approximate) tile path.
+  /// Per-call accounting, reset by every resolve()/resolve_mask(). Every
+  /// listener lands in exactly one bucket:
+  ///   certified + exact_fallbacks + unfiltered == listeners.
   struct Stats {
     std::size_t listeners = 0;
+    /// Decided outright by the certified filter.
     std::size_t certified = 0;
+    /// Screened by the filter, then re-resolved by the exact scan because
+    /// the margin straddled the threshold or a screening value was
+    /// degenerate (non-finite, or a squared distance below the normal
+    /// range).
     std::size_t exact_fallbacks = 0;
-    std::size_t tiled = 0;
+    /// Resolved by the exact scan without screening, because the round is
+    /// not filter-eligible: fewer than 16 transmitters, a generic alpha,
+    /// or no transmitters at all.
+    std::size_t unfiltered = 0;
   };
   const Stats& last_stats() const { return stats_; }
 
-  /// Resolves one round into `out` (resized to listeners.size()). In the
-  /// default mode the result is bit-identical to
-  /// channel().resolve(dep, transmitters, listeners).
+  /// Resolves one round into `out` (resized to listeners.size()). The
+  /// result is bit-identical to channel().resolve(dep, transmitters,
+  /// listeners).
   /// Same preconditions as SinrChannel::resolve; a listener colocated with
   /// a transmitter throws std::invalid_argument.
   void resolve(const Deployment& dep, std::span<const NodeId> transmitters,
@@ -94,31 +80,26 @@ class BatchResolver {
   /// Decision bits are identical to resolve() on the equivalent id vectors:
   /// word-skip enumeration visits ids in the same ascending order, and each
   /// listener runs the same certified-filter/exact-fallback pipeline.
-  /// Exact mode only — throws if the approximate far_field_tiles option is
-  /// enabled, so a received bit can never come from the tile path.
   void resolve_mask(const Deployment& dep,
                     std::span<const std::uint64_t> transmit_words,
                     std::span<const std::uint64_t> listen_words,
                     std::span<std::uint64_t> received_out);
 
  private:
-  void load_transmitters(const Deployment& dep,
-                         std::span<const NodeId> transmitters);
+  /// Snapshots the positions of tx_ids_ into tx_x_/tx_y_.
+  void load_positions(const Deployment& dep);
   /// Filter-eligible rounds of resolve_mask (>= kFilterMinTransmitters
-  /// transmitters, closed-form alpha): certifies listeners kLanes at a
-  /// time via the listener-blocked fused sweep, falling back to the
-  /// per-listener exact pipeline for near-threshold or degenerate lanes
-  /// and for the ragged tail. Decision bits identical to resolve_plain.
+  /// transmitters, closed-form alpha): screens listeners eight at a time
+  /// with the listener-blocked vector sweep, falling back to the
+  /// per-listener pipeline for near-threshold or degenerate lanes and for
+  /// the ragged tail. Decision bits identical to resolve_plain.
   void resolve_mask_filtered(const Deployment& dep,
                              std::span<const std::uint64_t> listen_words,
                              std::span<std::uint64_t> received_out);
   Reception resolve_plain(Vec2 v);
   Reception resolve_exact(std::size_t best);
-  void build_tiles();
-  Reception resolve_tiled(Vec2 v);
 
   SinrChannel channel_;
-  BatchResolveOptions options_;
   Stats stats_;
 
   // Flat transmitter snapshot for the round being resolved.
@@ -127,20 +108,6 @@ class BatchResolver {
 
   // Per-listener scratch, reused across listeners and rounds.
   std::vector<double> d2_, sig_, scratch_;
-
-  // Far-field tile grid (built per round when the option is on).
-  struct TileGrid {
-    double min_x = 0.0, min_y = 0.0;
-    double size = 0.0, inv_size = 0.0;
-    std::size_t gx = 0, gy = 0;
-    std::vector<std::size_t> offsets;   // CSR over tiles, gx*gy + 1
-    std::vector<std::size_t> members;   // transmitter indices, tile-grouped
-    std::vector<double> cx, cy;         // centroid per tile
-    std::vector<std::size_t> occupied;  // non-empty tile ids, ascending
-    bool valid = false;
-  };
-  TileGrid tiles_;
-  std::vector<std::size_t> near_;  // near-ring member indices scratch
 };
 
 }  // namespace fcr

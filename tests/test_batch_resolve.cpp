@@ -1,15 +1,21 @@
-// BatchResolver equivalence suite: the batched hot path must return
-// BIT-IDENTICAL Reception vectors to SinrChannel::resolve in exact mode,
-// across path-loss exponents (fast paths and the generic pow path),
-// deployment shapes, and repeated scratch-reusing calls. The tile mode is
-// approximate by contract; its tests bound the disagreement instead.
+// BatchResolver equivalence suite: both batched entry points — the
+// id-vector resolve() and the bitmask resolve_mask() — must return
+// BIT-IDENTICAL decisions to SinrChannel::resolve across path-loss
+// exponents (fast paths and the generic pow path), deployment shapes, round
+// sizes at the edges of the listener-blocked sweep, near-threshold
+// listeners that defeat the certified filter, and repeated
+// scratch-reusing calls.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "deploy/generators.hpp"
+#include "geom/point.hpp"
 #include "sinr/batch.hpp"
 #include "sinr/channel.hpp"
 #include "util/rng.hpp"
@@ -38,9 +44,102 @@ void split_nodes(const Deployment& dep, double p, Rng& rng,
   }
 }
 
+/// Exactly `tx_count` transmitters and `listen_count` listeners drawn
+/// without replacement, each set in ascending id order (the order the
+/// bitmask path enumerates them in).
+void split_sized(const Deployment& dep, std::size_t tx_count,
+                 std::size_t listen_count, Rng& rng,
+                 std::vector<NodeId>& tx, std::vector<NodeId>& listeners) {
+  std::vector<NodeId> ids(dep.size());
+  for (NodeId i = 0; i < dep.size(); ++i) ids[i] = i;
+  for (std::size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.uniform_int(i)]);
+  }
+  std::vector<bool> is_tx(dep.size(), false), is_listener(dep.size(), false);
+  for (std::size_t i = 0; i < tx_count; ++i) is_tx[ids[i]] = true;
+  for (std::size_t i = tx_count; i < tx_count + listen_count; ++i) {
+    is_listener[ids[i]] = true;
+  }
+  tx.clear();
+  listeners.clear();
+  for (NodeId i = 0; i < dep.size(); ++i) {
+    if (is_tx[i]) tx.push_back(i);
+    if (is_listener[i]) listeners.push_back(i);
+  }
+}
+
+/// Id-bitmask words over n nodes (bit id of word id/64).
+std::vector<std::uint64_t> to_words(const std::vector<NodeId>& ids,
+                                    std::size_t n) {
+  std::vector<std::uint64_t> words((n + 63) / 64, 0);
+  for (const NodeId id : ids) words[id / 64] |= std::uint64_t{1} << (id % 64);
+  return words;
+}
+
+void expect_stats_partition(const BatchResolver::Stats& stats,
+                            std::size_t listeners, bool filtered,
+                            const std::string& where) {
+  EXPECT_EQ(stats.listeners, listeners) << where;
+  EXPECT_EQ(stats.certified + stats.exact_fallbacks + stats.unfiltered,
+            stats.listeners)
+      << where;
+  if (filtered) {
+    EXPECT_EQ(stats.unfiltered, 0u) << where;
+  } else {
+    EXPECT_EQ(stats.unfiltered, listeners) << where;
+  }
+}
+
+/// Resolves one round through both BatchResolver entry points and checks
+/// every listener against the reference SinrChannel::resolve, plus the
+/// Stats partition of each call.
+void expect_matches_reference(const Deployment& dep,
+                              const SinrChannel& channel,
+                              BatchResolver& resolver,
+                              const std::vector<NodeId>& tx,
+                              const std::vector<NodeId>& listeners,
+                              const std::string& where) {
+  const bool filtered =
+      tx.size() >= 16 && channel.alpha_kind() != AlphaKind::kGeneric;
+  const auto reference = channel.resolve(dep, tx, listeners);
+
+  const auto batched = resolver.resolve(dep, tx, listeners);
+  ASSERT_EQ(batched.size(), reference.size()) << where;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(batched[i].sender, reference[i].sender)
+        << where << " resolve listener " << listeners[i];
+  }
+  expect_stats_partition(resolver.last_stats(), listeners.size(), filtered,
+                         where + " resolve");
+
+  const auto listen_words = to_words(listeners, dep.size());
+  // Pre-filled with ones: resolve_mask must overwrite every word.
+  std::vector<std::uint64_t> received(listen_words.size(), ~std::uint64_t{0});
+  resolver.resolve_mask(dep, to_words(tx, dep.size()), listen_words,
+                        received);
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    const NodeId id = listeners[i];
+    const bool bit = ((received[id / 64] >> (id % 64)) & 1u) != 0;
+    EXPECT_EQ(bit, reference[i].received())
+        << where << " resolve_mask listener " << id;
+  }
+  for (std::size_t w = 0; w < received.size(); ++w) {
+    EXPECT_EQ(received[w] & ~listen_words[w], 0u)
+        << where << " received bit outside the listen mask, word " << w;
+  }
+  expect_stats_partition(resolver.last_stats(), listeners.size(), filtered,
+                         where + " resolve_mask");
+}
+
 TEST(BatchResolve, BitIdenticalAcrossAlphasAndShapes) {
   // alpha 2.5 exercises the generic-pow (always-exact) path; 3 the rsqrt
-  // filter; 2/4/6 the exact-term filters.
+  // filter; 2/4/6 the exact-term filters. Besides a random split, each
+  // deployment runs rounds sized at the edges of the mask path's
+  // listener-blocked sweep: 15/16/17 transmitters straddle the filter's
+  // minimum, transmitter counts cover every residue mod 4 (the sweep's
+  // chain unroll), and listener counts leave ragged blocks of 1-7.
+  const std::pair<std::size_t, std::size_t> sized_rounds[] = {
+      {15, 37}, {16, 8}, {17, 23}, {18, 9}, {19, 100}, {73, 95}, {130, 61}};
   for (const double alpha : {2.0, 2.5, 3.0, 4.0, 6.0}) {
     Rng rng(1000 + static_cast<std::uint64_t>(alpha * 10.0));
     for (int shape = 0; shape < 6; ++shape) {
@@ -50,19 +149,20 @@ TEST(BatchResolve, BitIdenticalAcrossAlphasAndShapes) {
           SinrParams::for_longest_link(alpha, 1.5, 1e-9, dep.max_link());
       const SinrChannel channel(params);
       BatchResolver resolver(params);
+      const std::string where =
+          "alpha " + std::to_string(alpha) + " shape " + std::to_string(shape);
 
       std::vector<NodeId> tx, listeners;
       split_nodes(dep, 0.3, trial_rng, tx, listeners);
-
-      const auto reference = channel.resolve(dep, tx, listeners);
-      const auto batched = resolver.resolve(dep, tx, listeners);
-      ASSERT_EQ(batched.size(), reference.size());
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(batched[i].sender, reference[i].sender)
-            << "alpha " << alpha << " shape " << shape << " listener " << i;
+      expect_matches_reference(dep, channel, resolver, tx, listeners,
+                               where + " random split");
+      for (const auto& [tx_count, listen_count] : sized_rounds) {
+        split_sized(dep, tx_count, listen_count, trial_rng, tx, listeners);
+        expect_matches_reference(
+            dep, channel, resolver, tx, listeners,
+            where + " tx " + std::to_string(tx_count) + " listeners " +
+                std::to_string(listen_count));
       }
-      const auto& stats = resolver.last_stats();
-      EXPECT_EQ(stats.certified + stats.exact_fallbacks, listeners.size());
     }
   }
 }
@@ -86,10 +186,90 @@ TEST(BatchResolve, FilterCertifiesTheBulkOfListeners) {
       << "certified " << stats.certified << " of " << stats.listeners;
 }
 
+TEST(BatchResolve, NearThresholdListenersFallBackBitIdentically) {
+  // Every listener sits within 1e-12 relative of the decoding threshold,
+  // closer than any certification margin (1e-9 for the exact-term
+  // filters, 1e-4 for rsqrt), so every lane of the mask path's blocked
+  // sweep — two full blocks and a ragged tail of three — must fall back
+  // to the exact scan and still land on the reference bit. Listeners
+  // alternate between the decoding and the silent side of the threshold,
+  // so a lane-to-bit mix-up shows as a flipped bit.
+  constexpr std::size_t kTx = 20;
+  constexpr std::size_t kListeners = 19;
+  Rng rng(2024);
+  std::vector<Vec2> positions;
+  for (std::size_t i = 0; i < kTx; ++i) {
+    positions.push_back({rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)});
+  }
+  const Deployment tx_only(positions);
+  std::vector<NodeId> tx;
+  for (NodeId i = 0; i < kTx; ++i) tx.push_back(i);
+
+  for (const double alpha : {2.0, 3.0, 4.0, 6.0}) {
+    const std::string where = "alpha " + std::to_string(alpha);
+    const SinrParams params =
+        SinrParams::for_longest_link(alpha, 1.5, 1e-9, tx_only.max_link());
+    const SinrChannel channel(params);
+    const auto sinr_at = [&](NodeId u, Vec2 q) {
+      return channel.signal_from_dist_sq(dist_sq(tx_only.position(u), q)) /
+             (params.noise + channel.interference_at(tx_only, q, tx, u));
+    };
+
+    // Listener u lies on the segment from transmitter u towards its
+    // nearest other transmitter w, where u stays the nearest transmitter.
+    // The SINR falls from unbounded next to u to at most 1 < beta at the
+    // midpoint; bisect the crossing down to adjacent doubles.
+    std::vector<Vec2> all = positions;
+    for (NodeId u = 0; u < kListeners; ++u) {
+      const Vec2 a = tx_only.position(u);
+      NodeId w = u == 0 ? 1 : 0;
+      for (NodeId v = 0; v < kTx; ++v) {
+        if (v != u && dist_sq(a, tx_only.position(v)) <
+                          dist_sq(a, tx_only.position(w))) {
+          w = v;
+        }
+      }
+      const Vec2 step = tx_only.position(w) - a;
+      double lo = 1e-6, hi = 0.5;  // decodes at lo, silent at hi
+      ASSERT_GE(sinr_at(u, a + lo * step), params.beta) << where;
+      ASSERT_LT(sinr_at(u, a + hi * step), params.beta) << where;
+      for (int it = 0; it < 200; ++it) {
+        const double mid = 0.5 * (lo + hi);
+        if (mid <= lo || mid >= hi) break;
+        (sinr_at(u, a + mid * step) >= params.beta ? lo : hi) = mid;
+      }
+      const Vec2 q = a + (u % 2 == 0 ? lo : hi) * step;
+      ASSERT_LT(std::abs(sinr_at(u, q) / params.beta - 1.0), 1e-12)
+          << where << " listener " << u;
+      all.push_back(q);
+    }
+    const Deployment dep(all);
+    std::vector<NodeId> listeners;
+    for (NodeId i = kTx; i < dep.size(); ++i) listeners.push_back(i);
+
+    const auto reference = channel.resolve(dep, tx, listeners);
+    std::size_t decoding = 0;
+    for (const Reception& r : reference) {
+      if (r.received()) ++decoding;
+    }
+    EXPECT_GT(decoding, 0u) << where;
+    EXPECT_LT(decoding, listeners.size()) << where;
+
+    BatchResolver resolver(params);
+    expect_matches_reference(dep, channel, resolver, tx, listeners, where);
+    // The last call was resolve_mask: every listener was screened in a
+    // filter-eligible round and none could be certified.
+    EXPECT_EQ(resolver.last_stats().certified, 0u) << where;
+    EXPECT_EQ(resolver.last_stats().exact_fallbacks, kListeners) << where;
+  }
+}
+
 TEST(BatchResolve, ScratchReuseAcrossRoundsStaysBitIdentical) {
   // One resolver across many rounds with shrinking transmitter sets (the
-  // trial-engine usage pattern): every round must still match a fresh
-  // reference resolution exactly.
+  // trial-engine usage pattern), alternating both entry points: every
+  // round must still match a fresh reference resolution exactly. The
+  // later rounds walk the transmitter count down through the filter's
+  // minimum and every residue mod 4, with ragged listener blocks.
   Rng rng(42);
   const Deployment dep =
       uniform_square(300, 2.0 * std::sqrt(300.0), rng).normalized();
@@ -99,17 +279,19 @@ TEST(BatchResolve, ScratchReuseAcrossRoundsStaysBitIdentical) {
   BatchResolver resolver(params);
 
   std::vector<NodeId> tx, listeners;
-  std::vector<Reception> batched;
   for (int round = 0; round < 12; ++round) {
     split_nodes(dep, 0.35 / (1 + round % 4), rng, tx, listeners);
     if (tx.empty()) continue;
-    resolver.resolve(dep, tx, listeners, batched);
-    const auto reference = channel.resolve(dep, tx, listeners);
-    ASSERT_EQ(batched.size(), reference.size()) << "round " << round;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(batched[i].sender, reference[i].sender)
-          << "round " << round << " listener " << i;
-    }
+    expect_matches_reference(dep, channel, resolver, tx, listeners,
+                             "round " + std::to_string(round));
+  }
+  const std::pair<std::size_t, std::size_t> shrinking[] = {
+      {97, 203}, {42, 150}, {19, 121}, {18, 77}, {17, 45},
+      {16, 31},  {15, 29},  {9, 13},   {2, 7},   {1, 3}};
+  for (const auto& [tx_count, listen_count] : shrinking) {
+    split_sized(dep, tx_count, listen_count, rng, tx, listeners);
+    expect_matches_reference(dep, channel, resolver, tx, listeners,
+                             "tx " + std::to_string(tx_count));
   }
 }
 
@@ -124,12 +306,20 @@ TEST(BatchResolve, EmptyTransmittersResolveToSilence) {
   const auto out = resolver.resolve(dep, none, listeners);
   ASSERT_EQ(out.size(), 3u);
   for (const Reception& r : out) EXPECT_FALSE(r.received());
+  expect_stats_partition(resolver.last_stats(), 3, false, "resolve");
+
+  std::vector<std::uint64_t> received(1, ~std::uint64_t{0});
+  resolver.resolve_mask(dep, to_words(none, dep.size()),
+                        to_words(listeners, dep.size()), received);
+  EXPECT_EQ(received[0], 0u);
+  expect_stats_partition(resolver.last_stats(), 3, false, "resolve_mask");
 }
 
 TEST(BatchResolve, ColocatedListenerThrowsLikeTheReference) {
   // An id appearing as both transmitter and listener is a zero-distance
-  // link; both paths must reject it the same way (the documented single
-  // colocation behavior).
+  // link; every path must reject it the same way (the documented single
+  // colocation behavior). The mask cases put the shared id in a full
+  // sweep block, in the ragged tail, and in a round too small to filter.
   Rng rng(8);
   const Deployment dep = uniform_square(40, 8.0, rng).normalized();
   const SinrParams params =
@@ -143,71 +333,28 @@ TEST(BatchResolve, ColocatedListenerThrowsLikeTheReference) {
                std::invalid_argument);
   EXPECT_THROW((void)resolver.resolve(dep, tx, listeners),
                std::invalid_argument);
-}
 
-TEST(BatchResolve, OptionValidation) {
-  SinrParams params;
-  params.alpha = 3.0;
-  BatchResolveOptions bad_tile;
-  bad_tile.tile_size = -1.0;
-  EXPECT_THROW(BatchResolver(params, bad_tile), std::invalid_argument);
-  BatchResolveOptions bad_ring;
-  bad_ring.far_field_tiles = true;
-  bad_ring.near_ring = 0;
-  EXPECT_THROW(BatchResolver(params, bad_ring), std::invalid_argument);
-}
-
-TEST(BatchResolveTiled, AgreesWithExactAwayFromTheThreshold) {
-  // Tile mode is approximate: decisions may flip only where the SINR sits
-  // within the far-field error bound of the threshold. On a uniform
-  // workload that is a thin shell — demand >= 97% agreement and that
-  // every disagreement is a borderline listener in the exact resolver.
-  Rng rng(5150);
-  const Deployment dep =
-      uniform_square(2048, 2.0 * std::sqrt(2048.0), rng).normalized();
-  const SinrParams params =
-      SinrParams::for_longest_link(3.0, 1.5, 1e-9, dep.max_link());
-  const SinrChannel channel(params);
-  BatchResolveOptions options;
-  options.far_field_tiles = true;
-  BatchResolver resolver(params, options);
-
-  std::vector<NodeId> tx, listeners;
-  split_nodes(dep, 0.2, rng, tx, listeners);
-  const auto reference = channel.resolve(dep, tx, listeners);
-  const auto tiled = resolver.resolve(dep, tx, listeners);
-  ASSERT_EQ(tiled.size(), reference.size());
-  EXPECT_GT(resolver.last_stats().tiled, 0u);
-
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    if (tiled[i].sender == reference[i].sender) ++agree;
-  }
-  EXPECT_GE(agree * 100, reference.size() * 97)
-      << agree << " of " << reference.size();
-}
-
-TEST(BatchResolveTiled, HugeNearRingMatchesExactDecisions) {
-  // With a near ring wider than the whole grid there is no far field, so
-  // tile mode computes exact signals (only the summation grouping
-  // differs); decisions must match the reference on this workload.
-  Rng rng(6001);
-  const Deployment dep =
-      uniform_square(256, 2.0 * std::sqrt(256.0), rng).normalized();
-  const SinrParams params =
-      SinrParams::for_longest_link(3.0, 1.5, 1e-9, dep.max_link());
-  const SinrChannel channel(params);
-  BatchResolveOptions options;
-  options.far_field_tiles = true;
-  options.near_ring = 1u << 20;
-  BatchResolver resolver(params, options);
-
-  std::vector<NodeId> tx, listeners;
-  split_nodes(dep, 0.25, rng, tx, listeners);
-  const auto reference = channel.resolve(dep, tx, listeners);
-  const auto tiled = resolver.resolve(dep, tx, listeners);
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(tiled[i].sender, reference[i].sender) << "listener " << i;
+  // Transmitters [tx_begin, tx_end), listeners [listen_begin, listen_end):
+  // shared id 19 in lane 0 of the first sweep block; shared id 20 in the
+  // ragged tail after two full blocks; shared id 9 in a 10-transmitter
+  // round below the filter's minimum.
+  const struct {
+    NodeId tx_begin, tx_end, listen_begin, listen_end;
+  } mask_cases[] = {{0, 20, 19, 40}, {20, 40, 0, 21}, {0, 10, 9, 40}};
+  for (const auto& c : mask_cases) {
+    tx.clear();
+    listeners.clear();
+    for (NodeId i = c.tx_begin; i < c.tx_end; ++i) tx.push_back(i);
+    for (NodeId i = c.listen_begin; i < c.listen_end; ++i) {
+      listeners.push_back(i);
+    }
+    std::vector<std::uint64_t> received(1);
+    EXPECT_THROW(resolver.resolve_mask(dep, to_words(tx, dep.size()),
+                                       to_words(listeners, dep.size()),
+                                       received),
+                 std::invalid_argument)
+        << "transmitters [" << c.tx_begin << ", " << c.tx_end
+        << "), listeners [" << c.listen_begin << ", " << c.listen_end << ")";
   }
 }
 
