@@ -159,17 +159,13 @@ struct DecideFixture {
         active(words, ~std::uint64_t{0}),
         decisions(words, 0),
         probability(LaneRng::padded_count(n), 0.0),
-        phase(n, 0),
         aux(LaneRng::padded_count(n), 0) {
     if ((n & 63) != 0) active.back() = (std::uint64_t{1} << (n & 63)) - 1;
-    Rng root(42);
-    for (NodeId id = 0; id < n; ++id) rng.push_back(root.split(id));
-    lanes.seed(root, n);
+    lanes.seed(Rng(42), n);
     state = ColumnarState{active,
                           std::span<double>(probability.data(), n),
-                          phase,
                           std::span<std::uint64_t>(aux.data(), n),
-                          rng,
+                          &lanes,
                           n,
                           n};
     algo.columnar_init(state);
@@ -179,49 +175,43 @@ struct DecideFixture {
   std::vector<std::uint64_t> active;
   std::vector<std::uint64_t> decisions;
   std::vector<double> probability;
-  std::vector<std::uint32_t> phase;
   std::vector<std::uint64_t> aux;
-  std::vector<Rng> rng;
   LaneRng lanes;
   ColumnarState state;
 };
 
-void BM_DecideKernelScalar(benchmark::State& state) {
-  // The scalar fading decide kernel in isolation: one bernoulli per active
-  // node through the word-skipping id loop. Paired with
-  // BM_DecideKernelLanes for the machine-independent decide-kernel ratio
-  // scripts/perf_compare.py gates.
+/// The fading decide kernel in isolation: one bernoulli per active node on
+/// the lane streams (W = 8 blocked xoshiro, word-packed decision output).
+void run_decide_kernel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const FadingContentionResolution algo;
   DecideFixture fx(n, algo);
   std::uint64_t round = 1;
   for (auto _ : state) {
     std::fill(fx.decisions.begin(), fx.decisions.end(), std::uint64_t{0});
-    algo.columnar_decide(round++, fx.state, fx.decisions);
+    algo.decide(round++, fx.state, fx.decisions);
     benchmark::DoNotOptimize(fx.decisions.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_DecideKernelScalar)->Arg(256)->Arg(1024)->Arg(16384);
 
 void BM_DecideKernelLanes(benchmark::State& state) {
-  // The same kernel on the SIMD lane route (W = 8 blocked xoshiro streams,
-  // word-packed decision output). Bit-identical decisions to the scalar
-  // kernel (tests/test_lane_identity.cpp); the ratio is pure speed.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const FadingContentionResolution algo;
-  DecideFixture fx(n, algo);
-  std::uint64_t round = 1;
-  for (auto _ : state) {
-    std::fill(fx.decisions.begin(), fx.decisions.end(), std::uint64_t{0});
-    algo.lane_decide(round++, fx.state, fx.lanes, fx.decisions);
-    benchmark::DoNotOptimize(fx.decisions.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
+  // The auto-dispatched target (AVX2 where the host has it).
+  run_decide_kernel(state);
 }
 BENCHMARK(BM_DecideKernelLanes)->Arg(256)->Arg(1024)->Arg(16384);
+
+void BM_DecideKernelGeneric(benchmark::State& state) {
+  // The same kernel pinned to the portable plain-u64 target. Bit-identical
+  // decisions (tests/test_lane_identity.cpp); Lanes / Generic is the
+  // machine-independent decide-kernel ratio scripts/perf_compare.py gates.
+  force_lane_dispatch(LaneDispatch::kGeneric);
+  run_decide_kernel(state);
+  reset_lane_dispatch();
+}
+BENCHMARK(BM_DecideKernelGeneric)->Arg(256)->Arg(1024)->Arg(16384);
 
 void BM_ResolveMask(benchmark::State& state) {
   // BatchResolver::resolve_mask: the bitmask round-resolution path the
@@ -269,20 +259,22 @@ void BM_FullExecution(benchmark::State& state) {
     benchmark::DoNotOptimize(r.rounds);
   }
 }
-BENCHMARK(BM_FullExecution)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_FullExecution)->Arg(8)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_FullExecutionVirtual(benchmark::State& state) {
   // The per-node virtual engine, pinned explicitly. BM_FullExecution above
-  // runs the default path (columnar at these sizes); the pair yields the
-  // machine-independent columnar-vs-virtual ratio that
-  // scripts/perf_compare.py regression-gates.
+  // runs the default path (the fast path at these sizes, from
+  // ExecutionWorkspace::kFastCutover = 8 up); the pair yields the
+  // machine-independent fast-vs-reference ratio that
+  // scripts/perf_compare.py regression-gates, and n = 8, 16 compare the
+  // two paths right at the cutover.
   const auto n = static_cast<std::size_t>(state.range(0));
   const Deployment dep = make_uniform(n);
   const auto channel = sinr_channel_factory(3.0, 1.5, 1e-9)(dep);
   const FadingContentionResolution algo;
   EngineConfig config;
   config.max_rounds = 100000;
-  config.path = ExecutionPath::kVirtual;
+  config.path = ExecutionPath::kReference;
   std::uint64_t seed = 0;
   for (auto _ : state) {
     const RunResult r =
@@ -290,7 +282,8 @@ void BM_FullExecutionVirtual(benchmark::State& state) {
     benchmark::DoNotOptimize(r.rounds);
   }
 }
-BENCHMARK(BM_FullExecutionVirtual)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_FullExecutionVirtual)
+    ->Arg(8)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 /// Shared body for the instrumented-sweep benches: one full execution per
 /// iteration with a per-round link-class census observer. `incremental`

@@ -29,19 +29,17 @@
 # via scripts/perf_compare.py instead.
 #
 # Usage: scripts/perf_smoke.sh [--build-dir DIR] [--out FILE]
-#          [--exec-out FILE] [--campaign-out FILE]
+#          [--campaign-out FILE]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build
 OUT=BENCH_resolve.json
-EXEC_OUT=BENCH_execution.json
 CAMPAIGN_OUT=BENCH_campaign.json
 while [ $# -gt 0 ]; do
   case "$1" in
     --build-dir) BUILD_DIR="$2"; shift 2 ;;
     --out) OUT="$2"; shift 2 ;;
-    --exec-out) EXEC_OUT="$2"; shift 2 ;;
     --campaign-out) CAMPAIGN_OUT="$2"; shift 2 ;;
     *) echo "unknown flag: $1" >&2; exit 1 ;;
   esac
@@ -109,21 +107,10 @@ fi
 mv "$TMP" "$OUT"
 trap - EXIT
 
-# Execution-engine artifact: the BM_FullExecution* subset in its own JSON
-# so CI can upload the columnar-vs-virtual numbers separately and the
-# perf_compare columnar gate has a small, stable reference file.
-python3 - "$OUT" "$EXEC_OUT" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-doc["benchmarks"] = [b for b in doc["benchmarks"]
-                     if b["name"].startswith("BM_FullExecution")]
-json.dump(doc, open(sys.argv[2], "w"), indent=1)
-EOF
-
 # Non-gating speedup report: batch vs reference scan per n, the
-# incremental-instrumentation gain on the trial benches, the columnar
-# round loop vs the per-node virtual engine, and the SIMD lane kernels vs
-# the scalar columnar kernels.
+# incremental-instrumentation gain on the trial benches, the fast path vs
+# the per-node virtual reference, and the auto-dispatched decide kernel vs
+# the same kernel pinned to the generic target.
 python3 - "$OUT" <<'EOF' || true
 import json, sys
 runs = {b["name"]: b["real_time"] for b in json.load(open(sys.argv[1]))["benchmarks"]}
@@ -146,17 +133,17 @@ if rebuild and incr:
           f"{rebuild/1e6:.3f} ms, incremental {incr/1e6:.3f} ms, "
           f"speedup {rebuild/incr:.2f}x")
 for n in (256, 1024, 16384):
-    scalar = runs.get(f"BM_DecideKernelScalar/{n}")
+    generic = runs.get(f"BM_DecideKernelGeneric/{n}")
     lanes = runs.get(f"BM_DecideKernelLanes/{n}")
-    if scalar and lanes:
-        print(f"perf_smoke: decide kernel n={n}: scalar {scalar/1e3:.2f} us, "
-              f"lanes {lanes/1e3:.2f} us, speedup {scalar/lanes:.2f}x")
-for n in (64, 256, 1024):
+    if generic and lanes:
+        print(f"perf_smoke: decide kernel n={n}: generic {generic/1e3:.2f} us, "
+              f"dispatched {lanes/1e3:.2f} us, speedup {generic/lanes:.2f}x")
+for n in (8, 16, 64, 256, 1024):
     virt = runs.get(f"BM_FullExecutionVirtual/{n}")
-    col = runs.get(f"BM_FullExecution/{n}")
-    if virt and col:
-        print(f"perf_smoke: execution n={n}: virtual {virt/1e6:.3f} ms, "
-              f"columnar {col/1e6:.3f} ms, speedup {virt/col:.2f}x")
+    fast = runs.get(f"BM_FullExecution/{n}")
+    if virt and fast:
+        print(f"perf_smoke: execution n={n}: reference {virt/1e6:.3f} ms, "
+              f"fast {fast/1e6:.3f} ms, speedup {virt/fast:.2f}x")
 EOF
 
 # Campaign fabric artifact (docs/ROBUSTNESS.md §6): wall-clock the same
@@ -173,7 +160,7 @@ FCRSIM_BIN="$BUILD_DIR/tools/fcrsim"
 FCRW_BIN="$BUILD_DIR/tools/fcrw"
 if [ ! -x "$FCRSIM_BIN" ] || [ ! -x "$FCRW_BIN" ]; then
   echo "perf_smoke: skipping $CAMPAIGN_OUT (fcrsim/fcrw not built in $BUILD_DIR)"
-  echo "perf_smoke: wrote $OUT and $EXEC_OUT (fcr_build_type=$BUILD_TYPE," \
+  echo "perf_smoke: wrote $OUT (fcr_build_type=$BUILD_TYPE," \
        "git=$FCR_GIT_SHA dirty=$FCR_GIT_DIRTY)"
   exit 0
 fi
@@ -246,5 +233,5 @@ print(f"perf_smoke: campaign local {float(local_ns)/1e9:.3f} s, "
       f"overhead ratio {ratio:.3f} ({os.cpu_count()} core(s))")
 EOF
 
-echo "perf_smoke: wrote $OUT, $EXEC_OUT and $CAMPAIGN_OUT" \
+echo "perf_smoke: wrote $OUT and $CAMPAIGN_OUT" \
      "(fcr_build_type=$BUILD_TYPE, git=$FCR_GIT_SHA dirty=$FCR_GIT_DIRTY)"

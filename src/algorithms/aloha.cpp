@@ -57,17 +57,10 @@ void SlottedAloha::columnar_init(ColumnarState& state) const {
   for (double& slot : state.probability) slot = p;
 }
 
-void SlottedAloha::columnar_decide(std::uint64_t /*round*/,
-                                   ColumnarState& state,
-                                   std::span<std::uint64_t> decisions) const {
-  columnar_bernoulli_all(state, 1.0 / static_cast<double>(size_bound_),
-                         decisions);
-}
-
-void SlottedAloha::lane_decide(std::uint64_t /*round*/,
-                               ColumnarState& /*state*/, LaneRng& lanes,
-                               std::span<std::uint64_t> decisions) const {
-  lanes.bernoulli_all(1.0 / static_cast<double>(size_bound_), decisions);
+void SlottedAloha::decide(std::uint64_t /*round*/, ColumnarState& state,
+                          std::span<std::uint64_t> decisions) const {
+  state.lanes->bernoulli_all(1.0 / static_cast<double>(size_bound_),
+                             decisions);
 }
 
 }  // namespace fcr

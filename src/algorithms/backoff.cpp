@@ -52,35 +52,17 @@ NodeProtocol* BinaryExponentialBackoff::construct_node_at(void* storage,
   return ::new (storage) BackoffNode(rng);
 }
 
-void BinaryExponentialBackoff::columnar_decide(
+void BinaryExponentialBackoff::decide(
     std::uint64_t round, ColumnarState& state,
     std::span<std::uint64_t> decisions) const {
   // The engine visits rounds 1, 2, 3, ... consecutively, so BackoffNode's
   // lazy "round > epoch_end_" re-draw fires exactly at the epoch-start
-  // rounds 2^e - 1 (1, 3, 7, 15, ...), where the window is round + 1.
-  // Matching draw order: every node draws once, in id order, at those
-  // rounds and only those.
+  // rounds 2^e - 1 (1, 3, 7, 15, ...), where the window is round + 1: every
+  // node draws its slot once at those rounds and only those. The window is
+  // a power of two, which is exactly the single-draw masked case of
+  // Rng::uniform_int, so each lane draws what BackoffNode draws.
   if (((round + 1) & round) == 0) {
-    const std::uint64_t window = round + 1;
-    for (NodeId id = 0; id < state.node_count; ++id) {
-      state.aux[id] = round + state.rng[id].uniform_int(window);
-    }
-  }
-  for (NodeId id = 0; id < state.node_count; ++id) {
-    if (state.aux[id] == round) {
-      decisions[id >> 6] |= std::uint64_t{1} << (id & 63);
-    }
-  }
-}
-
-void BinaryExponentialBackoff::lane_decide(
-    std::uint64_t round, ColumnarState& state, LaneRng& lanes,
-    std::span<std::uint64_t> decisions) const {
-  // Same epoch structure; the window round + 1 is a power of two, which is
-  // exactly the single-draw masked case of Rng::uniform_int, so the lane
-  // draw count matches the scalar kernel draw for draw.
-  if (((round + 1) & round) == 0) {
-    lanes.uniform_offsets_pow2(round, round + 1, state.aux.data());
+    state.lanes->uniform_offsets_pow2(round, round + 1, state.aux.data());
   }
   lane_select_equal(state.aux.data(), round, state.node_count, decisions);
 }

@@ -86,17 +86,10 @@ NodeProtocol* DecayKnownN::construct_node_at(void* storage, NodeId /*id*/,
   return ::new (storage) DecayKnownNNode(sweep_length_, rng);
 }
 
-void DecayKnownN::columnar_decide(std::uint64_t round, ColumnarState& state,
-                                  std::span<std::uint64_t> decisions) const {
+void DecayKnownN::decide(std::uint64_t round, ColumnarState& state,
+                         std::span<std::uint64_t> decisions) const {
   const std::uint64_t slot = (round - 1) % sweep_length_;
-  columnar_bernoulli_all(state, ladder_probability(slot), decisions);
-}
-
-void DecayKnownN::lane_decide(std::uint64_t round, ColumnarState& /*state*/,
-                              LaneRng& lanes,
-                              std::span<std::uint64_t> decisions) const {
-  const std::uint64_t slot = (round - 1) % sweep_length_;
-  lanes.bernoulli_all(ladder_probability(slot), decisions);
+  state.lanes->bernoulli_all(ladder_probability(slot), decisions);
 }
 
 std::unique_ptr<NodeProtocol> DecayDoubling::make_node(NodeId /*id*/,
@@ -113,8 +106,8 @@ NodeProtocol* DecayDoubling::construct_node_at(void* storage, NodeId /*id*/,
   return ::new (storage) DecayDoublingNode(rng);
 }
 
-void DecayDoubling::columnar_decide(std::uint64_t round, ColumnarState& state,
-                                    std::span<std::uint64_t> decisions) const {
+void DecayDoubling::decide(std::uint64_t round, ColumnarState& state,
+                           std::span<std::uint64_t> decisions) const {
   // Same epoch walk as DecayDoublingNode, hoisted out of the per-node loop.
   std::uint64_t r = round - 1;
   std::uint64_t epoch = 1;
@@ -122,19 +115,7 @@ void DecayDoubling::columnar_decide(std::uint64_t round, ColumnarState& state,
     r -= epoch;
     ++epoch;
   }
-  columnar_bernoulli_all(state, ladder_probability(r), decisions);
-}
-
-void DecayDoubling::lane_decide(std::uint64_t round, ColumnarState& /*state*/,
-                                LaneRng& lanes,
-                                std::span<std::uint64_t> decisions) const {
-  std::uint64_t r = round - 1;
-  std::uint64_t epoch = 1;
-  while (r >= epoch) {
-    r -= epoch;
-    ++epoch;
-  }
-  lanes.bernoulli_all(ladder_probability(r), decisions);
+  state.lanes->bernoulli_all(ladder_probability(r), decisions);
 }
 
 }  // namespace fcr

@@ -37,14 +37,9 @@ class DecayKnownN final : public Algorithm, public ColumnarAlgorithm {
   NodeProtocol* construct_node_at(void* storage, NodeId id,
                                   Rng rng) const override;
   const ColumnarAlgorithm* columnar() const override { return this; }
-  void columnar_decide(std::uint64_t round, ColumnarState& state,
-                       std::span<std::uint64_t> decisions) const override;
+  void decide(std::uint64_t round, ColumnarState& state,
+              std::span<std::uint64_t> decisions) const override;
   FeedbackMode feedback_mode() const override { return FeedbackMode::kNone; }
-  const char* lane_kernel_id() const override {
-    return "fcr::DecayKnownN::columnar_decide";
-  }
-  void lane_decide(std::uint64_t round, ColumnarState& state, LaneRng& lanes,
-                   std::span<std::uint64_t> decisions) const override;
   bool uses_size_bound() const override { return true; }
 
   std::size_t size_bound() const { return size_bound_; }
@@ -68,14 +63,9 @@ class DecayDoubling final : public Algorithm, public ColumnarAlgorithm {
   NodeProtocol* construct_node_at(void* storage, NodeId id,
                                   Rng rng) const override;
   const ColumnarAlgorithm* columnar() const override { return this; }
-  void columnar_decide(std::uint64_t round, ColumnarState& state,
-                       std::span<std::uint64_t> decisions) const override;
+  void decide(std::uint64_t round, ColumnarState& state,
+              std::span<std::uint64_t> decisions) const override;
   FeedbackMode feedback_mode() const override { return FeedbackMode::kNone; }
-  const char* lane_kernel_id() const override {
-    return "fcr::DecayDoubling::columnar_decide";
-  }
-  void lane_decide(std::uint64_t round, ColumnarState& state, LaneRng& lanes,
-                   std::span<std::uint64_t> decisions) const override;
 };
 
 }  // namespace fcr

@@ -62,21 +62,13 @@ NodeProtocol* FastDecay::construct_node_at(void* storage, NodeId /*id*/,
   return ::new (storage) FastDecayNode(sigma_, sweep_length_, rng);
 }
 
-void FastDecay::columnar_decide(std::uint64_t round, ColumnarState& state,
-                                std::span<std::uint64_t> decisions) const {
+void FastDecay::decide(std::uint64_t round, ColumnarState& state,
+                       std::span<std::uint64_t> decisions) const {
   // Identical expression to FastDecayNode::on_round_begin so the bernoulli
   // thresholds match bit for bit; computed once per round, not per node.
   const std::uint64_t slot = (round - 1) % sweep_length_;
   const double p = 0.5 * std::pow(sigma_, -static_cast<double>(slot));
-  columnar_bernoulli_all(state, p, decisions);
-}
-
-void FastDecay::lane_decide(std::uint64_t round, ColumnarState& /*state*/,
-                            LaneRng& lanes,
-                            std::span<std::uint64_t> decisions) const {
-  const std::uint64_t slot = (round - 1) % sweep_length_;
-  const double p = 0.5 * std::pow(sigma_, -static_cast<double>(slot));
-  lanes.bernoulli_all(p, decisions);
+  state.lanes->bernoulli_all(p, decisions);
 }
 
 }  // namespace fcr

@@ -57,16 +57,9 @@ void NoKnockoutControl::columnar_init(ColumnarState& state) const {
   for (double& slot : state.probability) slot = p_;
 }
 
-void NoKnockoutControl::columnar_decide(
-    std::uint64_t /*round*/, ColumnarState& state,
-    std::span<std::uint64_t> decisions) const {
-  columnar_bernoulli_all(state, p_, decisions);
-}
-
-void NoKnockoutControl::lane_decide(std::uint64_t /*round*/,
-                                    ColumnarState& /*state*/, LaneRng& lanes,
-                                    std::span<std::uint64_t> decisions) const {
-  lanes.bernoulli_all(p_, decisions);
+void NoKnockoutControl::decide(std::uint64_t /*round*/, ColumnarState& state,
+                               std::span<std::uint64_t> decisions) const {
+  state.lanes->bernoulli_all(p_, decisions);
 }
 
 }  // namespace fcr

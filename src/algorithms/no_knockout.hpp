@@ -27,14 +27,9 @@ class NoKnockoutControl final : public Algorithm, public ColumnarAlgorithm {
                                   Rng rng) const override;
   const ColumnarAlgorithm* columnar() const override { return this; }
   void columnar_init(ColumnarState& state) const override;
-  void columnar_decide(std::uint64_t round, ColumnarState& state,
-                       std::span<std::uint64_t> decisions) const override;
+  void decide(std::uint64_t round, ColumnarState& state,
+              std::span<std::uint64_t> decisions) const override;
   FeedbackMode feedback_mode() const override { return FeedbackMode::kNone; }
-  const char* lane_kernel_id() const override {
-    return "fcr::NoKnockoutControl::columnar_decide";
-  }
-  void lane_decide(std::uint64_t round, ColumnarState& state, LaneRng& lanes,
-                   std::span<std::uint64_t> decisions) const override;
 
   double broadcast_probability() const { return p_; }
 

@@ -75,43 +75,17 @@ NodeProtocol* SiftWindow::construct_node_at(void* storage, NodeId /*id*/,
   return ::new (storage) SiftNode(window_, skew_, rng);
 }
 
-void SiftWindow::columnar_decide(std::uint64_t round, ColumnarState& state,
-                                 std::span<std::uint64_t> decisions) const {
+void SiftWindow::decide(std::uint64_t round, ColumnarState& state,
+                        std::span<std::uint64_t> decisions) const {
   const std::uint64_t slot = (round - 1) % window_;
   if (slot == 0) {
     // SiftNode::pick_slot per node, with the epoch-constant factors hoisted:
     // pow/log over the same doubles produce the same values here as inside
-    // the per-node call, so the floor thresholds match bit for bit.
-    const double tail =
-        1.0 - std::pow(skew_, static_cast<double>(window_));
-    const double log_skew = std::log(skew_);
-    for (NodeId id = 0; id < state.node_count; ++id) {
-      const double u = state.rng[id].uniform();
-      const double target = u * tail;
-      std::uint64_t chosen = static_cast<std::uint64_t>(
-          std::floor(std::log1p(-target) / log_skew));
-      if (chosen >= window_) chosen = window_ - 1;
-      state.aux[id] = chosen;
-    }
-  }
-  for (NodeId id = 0; id < state.node_count; ++id) {
-    if (state.aux[id] == slot) {
-      decisions[id >> 6] |= std::uint64_t{1} << (id & 63);
-    }
-  }
-}
-
-void SiftWindow::lane_decide(std::uint64_t round, ColumnarState& state,
-                             LaneRng& lanes,
-                             std::span<std::uint64_t> decisions) const {
-  const std::uint64_t slot = (round - 1) % window_;
-  if (slot == 0) {
-    // The lanes supply the raw words (one per node, identical to what the
-    // scalar column would have produced); the transcendental inverse-CDF
-    // transform stays scalar — it is epoch-only, so it is off the per-round
-    // hot path, and reusing the exact expressions keeps the floor
-    // thresholds bit-identical to columnar_decide.
-    const std::span<const std::uint64_t> raw = lanes.raw_all();
+    // the per-node call, so the floor thresholds match bit for bit. The
+    // lanes supply one raw word per node (the draw Rng::uniform() would
+    // make); the transcendental transform stays scalar — it is epoch-only,
+    // so it is off the per-round hot path.
+    const std::span<const std::uint64_t> raw = state.lanes->raw_all();
     const double tail =
         1.0 - std::pow(skew_, static_cast<double>(window_));
     const double log_skew = std::log(skew_);

@@ -51,26 +51,14 @@ void FadingContentionResolution::columnar_init(ColumnarState& state) const {
   for (double& p : state.probability) p = p_;
 }
 
-void FadingContentionResolution::columnar_decide(
+void FadingContentionResolution::decide(
     std::uint64_t /*round*/, ColumnarState& state,
     std::span<std::uint64_t> decisions) const {
-  // Word-skipping sweep: inactive nodes draw nothing, exactly like an
-  // inactive FadingNode's on_round_begin early return. countr_zero visits
-  // set bits in ascending id order, so the draw order matches the virtual
-  // path's id loop.
-  for (std::size_t w = 0; w < state.active.size(); ++w) {
-    std::uint64_t bits = state.active[w];
-    std::uint64_t dec = 0;
-    while (bits != 0) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      const auto id = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
-      if (state.rng[id].bernoulli(state.probability[id])) {
-        dec |= std::uint64_t{1} << b;
-      }
-    }
-    decisions[w] |= dec;
-  }
+  // Bernoulli sweep over the active bitmask: inactive nodes draw nothing,
+  // exactly like an inactive FadingNode's on_round_begin early return, and
+  // per-node probabilities live in the (lane-padded) probability column.
+  state.lanes->bernoulli_active(state.active, state.probability.data(),
+                                decisions);
 }
 
 void FadingContentionResolution::columnar_feedback(
@@ -98,15 +86,6 @@ void FadingContentionResolution::columnar_feedback_mask(
           static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
     }
   }
-}
-
-void FadingContentionResolution::lane_decide(
-    std::uint64_t /*round*/, ColumnarState& state, LaneRng& lanes,
-    std::span<std::uint64_t> decisions) const {
-  // Lane form of the word-skipping bernoulli sweep: per-node probabilities
-  // live in the (lane-padded) probability column, and only active lanes
-  // step their streams — bit-identical to columnar_decide's draw pattern.
-  lanes.bernoulli_active(state.active, state.probability.data(), decisions);
 }
 
 }  // namespace fcr

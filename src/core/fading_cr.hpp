@@ -42,9 +42,9 @@ class FadingNode final : public NodeProtocol {
 
 /// Algorithm factory for FadingNode. Also implements the columnar (SoA)
 /// capability: the per-node state is exactly (probability, active bit,
-/// rng), so the algorithm maps onto the engine's columns with no residue —
-/// decide is a bernoulli sweep over the active bitmask, the knockout rule
-/// is a bitmask clear.
+/// stream), so the algorithm maps onto the engine's columns with no
+/// residue — decide is a bernoulli sweep over the active bitmask, the
+/// knockout rule is a bitmask clear.
 class FadingContentionResolution final : public Algorithm,
                                          public ColumnarAlgorithm {
  public:
@@ -62,8 +62,8 @@ class FadingContentionResolution final : public Algorithm,
 
   const ColumnarAlgorithm* columnar() const override { return this; }
   void columnar_init(ColumnarState& state) const override;
-  void columnar_decide(std::uint64_t round, ColumnarState& state,
-                       std::span<std::uint64_t> decisions) const override;
+  void decide(std::uint64_t round, ColumnarState& state,
+              std::span<std::uint64_t> decisions) const override;
   void columnar_feedback(ColumnarState& state,
                          std::span<const NodeId> listeners,
                          std::span<const Feedback> feedback) const override;
@@ -76,12 +76,6 @@ class FadingContentionResolution final : public Algorithm,
   void columnar_feedback_mask(
       ColumnarState& state,
       std::span<const std::uint64_t> received) const override;
-
-  const char* lane_kernel_id() const override {
-    return "fcr::FadingContentionResolution::columnar_decide";
-  }
-  void lane_decide(std::uint64_t round, ColumnarState& state, LaneRng& lanes,
-                   std::span<std::uint64_t> decisions) const override;
 
   double broadcast_probability() const { return p_; }
 

@@ -257,9 +257,11 @@ void add_spec_flags(CliParser& cli) {
   cli.add_flag("beta", "1.5", "SINR decoding threshold");
   cli.add_flag("noise", "1e-9", "ambient noise");
   cli.add_flag("fading-severity", "1.0", "Rayleigh severity (rayleigh channel)");
-  cli.add_flag("algorithm", "fading",
-               "registry key: fading | decay | decay-doubling | fast-decay | "
-               "backoff | aloha | cd-leader | no-knockout");
+  std::string algorithms;
+  for (const AlgorithmSpec& a : algorithm_catalog()) {
+    algorithms += (algorithms.empty() ? "registry key: " : " | ") + a.key;
+  }
+  cli.add_flag("algorithm", "fading", algorithms);
   cli.add_flag("p", "0.2", "broadcast probability (constant-p algorithms)");
   cli.add_flag("trials", "100", "number of independent trials");
   cli.add_flag("seed", "20160725", "master seed");

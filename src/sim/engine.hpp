@@ -30,15 +30,13 @@ struct RoundView;
 /// Which round loop drives an execution. Both produce bit-identical
 /// results for every supported algorithm (same rng.split(id) lineage, same
 /// RunResult including the recorded history); the choice only affects
-/// speed, mirroring the small-round SINR cutover.
+/// speed.
 enum class ExecutionPath : std::uint8_t {
-  kAuto = 0,      ///< columnar when the algorithm supports it and n is large
-  kVirtual = 1,   ///< per-node virtual state machines (the historical engine)
-  kColumnar = 2,  ///< force the columnar loop (algorithm must support it);
-                  ///< lane kernels still engage automatically past the cutover
-  kColumnarScalar = 3,  ///< columnar loop with the scalar decide kernels only
-  kColumnarLanes = 4,   ///< force the SIMD lane kernels (testing; the kernel
-                        ///< must be certified in sim/kernel_certificates.hpp)
+  kAuto = 0,       ///< fast when the algorithm has a decide kernel and n
+                   ///< reaches ExecutionWorkspace::kFastCutover
+  kReference = 1,  ///< per-node virtual state machines (the reference)
+  kFast = 2,       ///< columnar loop + the algorithm's decide kernel at any
+                   ///< n (throws std::invalid_argument without a kernel)
 };
 
 /// Engine knobs.

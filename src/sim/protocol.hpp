@@ -70,10 +70,12 @@ struct NodeLayout {
 ///   * active      — contention bitmask; bit id set = node id still contends.
 ///                   Knockouts are bitmask clears via deactivate().
 ///   * probability — per-node transmit probability.
-///   * phase       — per-node class / phase id.
 ///   * aux         — per-node auxiliary word (chosen slots, epoch state, ...).
-///   * rng         — per-node private streams, seeded rng.split(id) in id
-///                   order exactly like the virtual path's node construction.
+///   * lanes       — the per-node private streams, lane-blocked (LaneRng),
+///                   seeded rng.split(id) in id order exactly like the
+///                   virtual path's node construction.
+/// The probability and aux spans have logical size n; their storage is
+/// padded to whole lane blocks per the LaneRng padding contract.
 ///
 /// Contract: deactivation is TERMINAL. The engine never re-sets an active
 /// bit, and an algorithm must not let a deactivated node's future decisions
@@ -83,9 +85,8 @@ struct NodeLayout {
 struct ColumnarState {
   std::span<std::uint64_t> active;
   std::span<double> probability;
-  std::span<std::uint32_t> phase;
   std::span<std::uint64_t> aux;
-  std::span<Rng> rng;
+  LaneRng* lanes = nullptr;
   std::size_t node_count = 0;
   std::size_t active_count = 0;  ///< popcount of `active`, kept by deactivate()
 
@@ -106,15 +107,15 @@ struct ColumnarState {
 };
 
 /// Columnar (SoA) capability of an Algorithm: expresses one round as
-/// vectorizable whole-population passes instead of n virtual dispatches —
-/// decide-all, then the channel resolves the round, then apply-feedback-all.
+/// whole-population passes instead of n virtual dispatches — decide-all,
+/// then the channel resolves the round, then apply-feedback-all.
 ///
 /// Bit-identity contract: for every node id, the decision bits produced by
-/// columnar_decide and the state evolution under columnar_feedback MUST
-/// match what make_node(id, rng.split(id)) would have decided from the same
-/// stream — same rng draws in the same per-node order, nodes processed in
-/// ascending id within each pass. The engine proves this against the
-/// virtual path as oracle (tests/test_columnar_identity.cpp).
+/// decide and the state evolution under columnar_feedback MUST match what
+/// make_node(id, rng.split(id)) would have decided from the same stream —
+/// same draws from node id's lane stream as the virtual node makes from its
+/// Rng, in the same order. The engine proves this against the virtual path
+/// as reference (tests/test_columnar_identity.cpp).
 class ColumnarAlgorithm {
  public:
   virtual ~ColumnarAlgorithm() = default;
@@ -137,14 +138,14 @@ class ColumnarAlgorithm {
   };
 
   /// Fills the columns the algorithm uses before round 1. The engine has
-  /// already seeded state.rng and set every node active. Default: no-op.
+  /// already seeded state.lanes and set every node active. Default: no-op.
   virtual void columnar_init(ColumnarState& state) const { (void)state; }
 
   /// Decide pass for `round` (1-based): sets bit id in `decisions` (same
   /// word layout as state.active, pre-zeroed by the engine) for every node
-  /// that transmits this round.
-  virtual void columnar_decide(std::uint64_t round, ColumnarState& state,
-                               std::span<std::uint64_t> decisions) const = 0;
+  /// that transmits this round, drawing from state.lanes.
+  virtual void decide(std::uint64_t round, ColumnarState& state,
+                      std::span<std::uint64_t> decisions) const = 0;
 
   /// Feedback pass: `feedback[i]` is what `listeners[i]` observed this
   /// round. Transmitters learn nothing in the model (no acknowledgments),
@@ -179,43 +180,7 @@ class ColumnarAlgorithm {
                   "columnar_feedback_mask called on an algorithm that did not "
                   "declare FeedbackMode::kReceivedMask");
   }
-
-  /// The kernel's manifest-qualified name (e.g.
-  /// "fcr::SlottedAloha::columnar_decide") when a SIMD lane form exists,
-  /// nullptr otherwise. The engine routes lane execution ONLY through
-  /// kernels this id proves certified against the static allowlist
-  /// generated from fcrlint's lane-purity manifest
-  /// (sim/kernel_certificates.hpp): a kernel that loses its purity
-  /// certificate drops off the SIMD route at compile time.
-  virtual const char* lane_kernel_id() const { return nullptr; }
-
-  /// SIMD form of columnar_decide: identical decision bits and identical
-  /// per-node rng consumption, drawing from `lanes` (seeded with the same
-  /// split(id) lineage as state.rng) instead of the scalar rng column.
-  /// Only called when lane_kernel_id() is certified; default aborts.
-  virtual void lane_decide(std::uint64_t round, ColumnarState& state,
-                           LaneRng& lanes,
-                           std::span<std::uint64_t> decisions) const {
-    (void)round;
-    (void)state;
-    (void)lanes;
-    (void)decisions;
-    FCR_CHECK_MSG(false,
-                  "lane_decide called on an algorithm without a lane kernel");
-  }
 };
-
-/// Shared decide pass for "every node transmits with probability p" rounds:
-/// one bernoulli per node in ascending id order, matching the virtual
-/// path's per-node on_round_begin order draw for draw.
-inline void columnar_bernoulli_all(ColumnarState& state, double p,
-                                   std::span<std::uint64_t> decisions) {
-  for (NodeId id = 0; id < state.node_count; ++id) {
-    if (state.rng[id].bernoulli(p)) {
-      decisions[id >> 6] |= std::uint64_t{1} << (id & 63);
-    }
-  }
-}
 
 /// Factory for a protocol: one Algorithm instance configures a family of
 /// per-node state machines for one execution.
@@ -251,8 +216,8 @@ class Algorithm {
   /// The algorithm's columnar (SoA) capability, or nullptr when it only
   /// provides per-node virtual state machines. Implementations return
   /// `this` after also deriving from ColumnarAlgorithm; the engine picks
-  /// the columnar round loop for large deployments (see
-  /// ExecutionWorkspace::kColumnarCutover) and both paths are bit-identical.
+  /// the columnar round loop past ExecutionWorkspace::kFastCutover nodes
+  /// and both paths are bit-identical.
   virtual const ColumnarAlgorithm* columnar() const { return nullptr; }
 
   /// True when the algorithm was constructed with a bound on the network

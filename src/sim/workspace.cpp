@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 
-#include "sim/kernel_certificates.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
 #include "util/log.hpp"
@@ -87,8 +86,7 @@ void ExecutionWorkspace::prepare_nodes(const Algorithm& algorithm, Rng& rng,
 }
 
 void ExecutionWorkspace::prepare_columns(const ColumnarAlgorithm& columnar,
-                                         Rng& rng, std::size_t n,
-                                         bool use_lanes) {
+                                         const Rng& rng, std::size_t n) {
   const std::size_t words = (n + 63) / 64;
   col_active_.assign(words, ~std::uint64_t{0});
   if ((n & 63) != 0) {
@@ -104,22 +102,15 @@ void ExecutionWorkspace::prepare_columns(const ColumnarAlgorithm& columnar,
   // ever turns into a decision bit.
   const std::size_t padded = LaneRng::padded_count(n);
   col_probability_.assign(padded, 0.0);
-  col_phase_.assign(n, 0);
   col_aux_.assign(padded, 0);
-  col_rng_.clear();
-  col_rng_.reserve(n);
-  for (NodeId id = 0; id < n; ++id) col_rng_.push_back(rng.split(id));
-  if (use_lanes) {
-    // split() does not perturb the parent, so the lane streams get the
-    // exact same split(id) lineage as col_rng_ just received.
-    lanes_.seed(rng, n);
-  }
+  // split() does not perturb the parent, so lane id gets exactly the
+  // rng.split(id) stream prepare_nodes would hand to make_node.
+  lanes_.seed(rng, n);
 
   columns_ = ColumnarState{col_active_,
                            std::span<double>(col_probability_.data(), n),
-                           col_phase_,
                            std::span<std::uint64_t>(col_aux_.data(), n),
-                           col_rng_,
+                           &lanes_,
                            n,
                            n};
   columnar.columnar_init(columns_);
@@ -155,59 +146,28 @@ RunResult ExecutionWorkspace::run(const Deployment& dep,
 
   const std::size_t n = dep.size();
   const ColumnarAlgorithm* columnar = algorithm.columnar();
-  // The SIMD route is gated on the kernel's lane-purity certificate: the
-  // kernel id must appear in the allowlist compiled from fcrlint's
-  // manifest (sim/kernel_certificates.hpp). A decertified kernel is
-  // statically excluded — kAuto/kColumnar fall back to the scalar kernels,
-  // forcing kColumnarLanes throws.
-  const char* lane_id =
-      columnar != nullptr ? columnar->lane_kernel_id() : nullptr;
-  const bool lane_certified =
-      lane_id != nullptr && kernel_simd_certified(lane_id);
-  bool use_columnar = false;
-  bool use_lanes = false;
+  bool use_fast = false;
   switch (config.path) {
-    case ExecutionPath::kVirtual:
+    case ExecutionPath::kReference:
       break;
-    case ExecutionPath::kColumnar:
+    case ExecutionPath::kFast:
       FCR_ENSURE_ARG(columnar != nullptr,
                      "algorithm '" << algorithm.name()
-                                   << "' has no columnar implementation");
-      use_columnar = true;
-      use_lanes = lane_certified && n >= kLaneCutover;
-      break;
-    case ExecutionPath::kColumnarScalar:
-      FCR_ENSURE_ARG(columnar != nullptr,
-                     "algorithm '" << algorithm.name()
-                                   << "' has no columnar implementation");
-      use_columnar = true;
-      break;
-    case ExecutionPath::kColumnarLanes:
-      FCR_ENSURE_ARG(columnar != nullptr,
-                     "algorithm '" << algorithm.name()
-                                   << "' has no columnar implementation");
-      FCR_ENSURE_ARG(lane_certified,
-                     "algorithm '"
-                         << algorithm.name()
-                         << "' has no certified lane kernel (see "
-                            "sim/kernel_certificates.hpp and the fcrlint "
-                            "kernel manifest)");
-      use_columnar = true;
-      use_lanes = true;
+                                   << "' has no decide kernel");
+      use_fast = true;
       break;
     case ExecutionPath::kAuto:
-      use_columnar = columnar != nullptr && n >= kColumnarCutover;
-      use_lanes = use_columnar && lane_certified && n >= kLaneCutover;
+      use_fast = columnar != nullptr && n >= kFastCutover;
       break;
   }
 
   RunResult result;
   {
     const NodeTeardownGuard guard{*this};
-    if (use_columnar) {
-      prepare_columns(*columnar, rng, n, use_lanes);
+    if (use_fast) {
+      prepare_columns(*columnar, rng, n);
       result = run_rounds_columnar(dep, algorithm, *columnar, channel, config,
-                                   observer, use_lanes, n);
+                                   observer, n);
     } else {
       prepare_nodes(algorithm, rng, n);
       result = run_rounds(dep, algorithm, channel, config, observer, n);
@@ -278,8 +238,7 @@ RunResult ExecutionWorkspace::run_rounds(const Deployment& dep,
 RunResult ExecutionWorkspace::run_rounds_columnar(
     const Deployment& dep, const Algorithm& algorithm,
     const ColumnarAlgorithm& columnar, const ChannelAdapter& channel,
-    const EngineConfig& config, const RoundObserver& observer, bool use_lanes,
-    std::size_t n) {
+    const EngineConfig& config, const RoundObserver& observer, std::size_t n) {
   // Observed runs must hand observers / stop_when / the history the exact
   // listener set the virtual path produces. Unobserved runs on a channel
   // whose per-listener feedback is a pure function of the transmitter set
@@ -300,8 +259,7 @@ RunResult ExecutionWorkspace::run_rounds_columnar(
       (mode == ColumnarAlgorithm::FeedbackMode::kNone ||
        (mode == ColumnarAlgorithm::FeedbackMode::kReceivedMask &&
         channel.supports_mask_resolve()))) {
-    return run_rounds_mask(dep, algorithm, columnar, channel, config,
-                           use_lanes, n);
+    return run_rounds_mask(dep, algorithm, columnar, channel, config, n);
   }
 
   transmitters_.reserve(n);
@@ -312,11 +270,7 @@ RunResult ExecutionWorkspace::run_rounds_columnar(
   const std::size_t words = col_active_.size();
   for (std::uint64_t round = 1; round <= config.max_rounds; ++round) {
     std::fill(col_decisions_.begin(), col_decisions_.end(), std::uint64_t{0});
-    if (use_lanes) {
-      columnar.lane_decide(round, columns_, lanes_, col_decisions_);
-    } else {
-      columnar.columnar_decide(round, columns_, col_decisions_);
-    }
+    columnar.decide(round, columns_, col_decisions_);
 
     transmitters_.clear();
     listeners_.clear();
@@ -372,7 +326,7 @@ RunResult ExecutionWorkspace::run_rounds_columnar(
 RunResult ExecutionWorkspace::run_rounds_mask(
     const Deployment& dep, const Algorithm& algorithm,
     const ColumnarAlgorithm& columnar, const ChannelAdapter& channel,
-    const EngineConfig& config, bool use_lanes, std::size_t n) {
+    const EngineConfig& config, std::size_t n) {
   // Caller (run_rounds_columnar) established: no observer/stop_when/history,
   // the channel resolves listeners independently, and the algorithm's
   // feedback is kNone or kReceivedMask with adapter mask support. Every
@@ -392,11 +346,7 @@ RunResult ExecutionWorkspace::run_rounds_mask(
   RunResult result;
   for (std::uint64_t round = 1; round <= config.max_rounds; ++round) {
     std::fill(col_decisions_.begin(), col_decisions_.end(), std::uint64_t{0});
-    if (use_lanes) {
-      columnar.lane_decide(round, columns_, lanes_, col_decisions_);
-    } else {
-      columnar.columnar_decide(round, columns_, col_decisions_);
-    }
+    columnar.decide(round, columns_, col_decisions_);
 
     std::size_t tx_count = 0;
     for (std::size_t w = 0; w < words; ++w) {

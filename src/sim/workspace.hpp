@@ -9,9 +9,10 @@
 //     work, they just keep allocating);
 //   * the COLUMNAR arrays — algorithms exposing Algorithm::columnar() run
 //     as structure-of-arrays passes over flat per-node columns (active
-//     bitmask, probability, phase, aux, rng) instead of virtual dispatch;
-//     the columns follow the same reserve-then-refill idiom as the round
-//     buffers, so warm columnar runs also allocate zero bytes;
+//     bitmask, probability, aux, lane-blocked rng streams) instead of
+//     virtual dispatch; the columns follow the same reserve-then-refill
+//     idiom as the round buffers, so warm columnar runs also allocate zero
+//     bytes;
 //   * the round buffers (transmitters, listeners, listener feedback), which
 //     only ever shrink-to-reuse via clear()/assign();
 //   * a per-worker FACTORY CACHE keyed by (trial batch, deployment
@@ -48,20 +49,12 @@ namespace fcr {
 
 class ExecutionWorkspace {
  public:
-  /// Deployments below this size run the virtual path even when the
-  /// algorithm supports columnar execution: the SoA loop pays a fixed
-  /// per-round sweep over the bitmask words, which only wins once enough
-  /// nodes amortize it. Mirrors SinrChannelAdapter::kSmallRoundCutover —
-  /// both paths are bit-identical, so the constant only affects speed.
-  static constexpr std::size_t kColumnarCutover = 32;
-
-  /// Columnar deployments below this size keep the scalar decide kernels:
-  /// the lane route pays per-run setup (seeding W-blocked streams for every
-  /// node) plus per-round whole-block sweeps, which needs at least a
-  /// bitmask word of nodes to win. Lane and scalar kernels are
-  /// bit-identical (tests/test_lane_identity.cpp), so the constant only
-  /// affects speed.
-  static constexpr std::size_t kLaneCutover = 64;
+  /// Deployments below this size run the reference (virtual) path even
+  /// when the algorithm has a decide kernel: the fast path pays per-run
+  /// lane seeding plus per-round whole-block sweeps, which one lane block
+  /// of nodes amortizes (measured per algorithm in docs/PERF.md §6.4).
+  /// Both paths are bit-identical, so the constant only affects speed.
+  static constexpr std::size_t kFastCutover = 8;
 
   ExecutionWorkspace() = default;
   ~ExecutionWorkspace();
@@ -106,14 +99,12 @@ class ExecutionWorkspace {
   /// otherwise. Either way nodes_[id] is the node for id.
   void prepare_nodes(const Algorithm& algorithm, Rng& rng, std::size_t n);
 
-  /// Builds the columnar state for this run: seeds the per-node rng column
-  /// with rng.split(id) in id order (the exact lineage prepare_nodes hands
+  /// Builds the columnar state for this run: seeds the lane streams with
+  /// rng.split(id) for every node id (the exact lineage prepare_nodes hands
   /// to make_node), sets every node active, zeroes the other columns, and
-  /// lets the algorithm fill what it uses via columnar_init. With
-  /// `use_lanes` the lane generator is seeded from the same root with the
-  /// same split(id) lineage, so lane draws continue the identical streams.
-  void prepare_columns(const ColumnarAlgorithm& columnar, Rng& rng,
-                       std::size_t n, bool use_lanes);
+  /// lets the algorithm fill what it uses via columnar_init.
+  void prepare_columns(const ColumnarAlgorithm& columnar, const Rng& rng,
+                       std::size_t n);
 
   /// The round loop proper: nodes are already prepared, teardown is the
   /// caller's guard. Split out of run() so the workspace acquire/teardown
@@ -122,8 +113,8 @@ class ExecutionWorkspace {
                        const ChannelAdapter& channel, const EngineConfig& config,
                        const RoundObserver& observer, std::size_t n);
 
-  /// Columnar round loop: decide-all -> resolve -> apply-feedback-all over
-  /// the flat columns, bit-identical to run_rounds for the same arguments.
+  /// Columnar round loop: decide -> resolve -> apply-feedback-all over the
+  /// flat columns, bit-identical to run_rounds for the same arguments.
   /// Unobserved runs on channels that resolve listeners independently skip
   /// feedback for knocked-out listeners (their feedback is unobservable
   /// and cannot change state — deactivation is terminal).
@@ -132,12 +123,12 @@ class ExecutionWorkspace {
                                 const ColumnarAlgorithm& columnar,
                                 const ChannelAdapter& channel,
                                 const EngineConfig& config,
-                                const RoundObserver& observer, bool use_lanes,
+                                const RoundObserver& observer,
                                 std::size_t n);
 
   /// Bitmask round loop for unobserved runs whose feedback needs can be
   /// served without materializing listener id vectors or Feedback records:
-  /// decide (lane or scalar) -> popcount/solo-check the decision words ->
+  /// decide -> popcount/solo-check the decision words ->
   /// ChannelAdapter::resolve_mask into the received bitmask ->
   /// columnar_feedback_mask. Requires a channel that resolves listeners
   /// independently and an algorithm whose feedback_mode() is kNone or
@@ -148,8 +139,7 @@ class ExecutionWorkspace {
   RunResult run_rounds_mask(const Deployment& dep, const Algorithm& algorithm,
                             const ColumnarAlgorithm& columnar,
                             const ChannelAdapter& channel,
-                            const EngineConfig& config, bool use_lanes,
-                            std::size_t n);
+                            const EngineConfig& config, std::size_t n);
 
   /// Round epilogue shared by both loops: solo detection, history
   /// recording, observer / stop_when delivery. Returns true when the run
@@ -183,16 +173,14 @@ class ExecutionWorkspace {
   std::vector<std::uint64_t> col_active_;
   std::vector<std::uint64_t> col_decisions_;
   std::vector<double> col_probability_;
-  std::vector<std::uint32_t> col_phase_;
   std::vector<std::uint64_t> col_aux_;
-  std::vector<Rng> col_rng_;
+  LaneRng lanes_;
   ColumnarState columns_;
 
   // Bitmask round-loop scratch (listener and received masks, decision-word
-  // layout) and the W-blocked lane streams backing the SIMD decide kernels.
+  // layout).
   std::vector<std::uint64_t> col_listen_;
   std::vector<std::uint64_t> col_received_;
-  LaneRng lanes_;
 
   FactoryCache cache_;
   bool busy_ = false;

@@ -1,15 +1,15 @@
 // Lane-blocked xoshiro256** generation: W = 8 independent per-node streams
 // stepped side by side, bit-identical to the scalar `Rng` path.
 //
-// The columnar engine seeds one scalar Rng per node via rng.split(id); the
-// SIMD decide kernels need the SAME streams, stepped eight at a time.
+// The virtual engine hands node id the scalar stream rng.split(id); the
+// columnar decide kernels need the SAME streams, stepped eight at a time.
 // LaneRng stores the per-node xoshiro state as four flat arrays (s0..s3,
 // indexed by node id), so the 8 lanes of block b are contiguous at
 // [8b, 8b + 8) and step as two 4-wide AVX2 vectors (or a scalar loop on
 // the generic target). Every primitive consumes exactly the draws the
-// certified scalar kernel would — kernel_manifest.json pins each kernel's
-// per-node draw interval — so after any number of lane rounds every
-// node's stream sits exactly where the scalar path would have left it.
+// per-node scalar Rng calls it replaces would, so after any number of lane
+// rounds every node's stream sits exactly where the virtual node would
+// have left it (proven end to end by tests/test_columnar_identity.cpp).
 //
 // Bit-identity on both dispatch targets: the generic target evaluates the
 // same expressions as scalar Rng; the AVX2 target uses provably exact
@@ -69,13 +69,13 @@ class LaneRng {
   }
 
   /// Seeds lane id from root.split(id) for id in [0, padded_count(n)) —
-  /// the exact lineage the engine gives the scalar rng column.
+  /// the exact lineage the engine gives each virtual node.
   void seed(const Rng& root, std::size_t node_count);
 
   std::size_t node_count() const { return n_; }
 
   /// One draw per node (ascending id), OR-ing bit id into `decisions` when
-  /// uniform() < p — the lane form of columnar_bernoulli_all. Mirrors
+  /// uniform() < p — the lane form of Rng::bernoulli(p) per node. Mirrors
   /// scalar bernoulli's clamps exactly: p <= 0 draws nothing and sets
   /// nothing, p >= 1 draws nothing and sets every node's bit.
   void bernoulli_all(double p, std::span<std::uint64_t> decisions);

@@ -1,22 +1,34 @@
-// Columnar/virtual bit-identity harness.
+// Reference/fast bit-identity harness.
 //
-// The columnar round loop is only allowed to exist because it is
-// OBSERVATIONALLY IDENTICAL to the per-node virtual engine: same
+// The fast path — the columnar round loop driving an algorithm's decide
+// kernel over the lane-blocked streams — is only allowed to exist because
+// it is OBSERVATIONALLY IDENTICAL to the per-node virtual reference: same
 // rng.split(id) lineage, same decision stream, same RunResult including the
 // recorded per-round history. This suite drives every registry algorithm
-// across channel models, deployment shapes, and 32 seeds on both paths and
-// compares everything the engine can emit. Algorithms without columnar
-// support (sift, cd-leader) exercise the fallback: kAuto must route them to
-// the virtual loop and still agree with an explicit kVirtual run.
+// across channel models, deployments and seeds on kReference, kFast and
+// kAuto, and compares everything the engine can emit:
+//   * observed runs (history recorded) agree round for round;
+//   * bare runs agree on the outcome. They take the bitmask round loop on
+//     channels that resolve listeners independently, and the materializing
+//     loop over every listener on the stateful channels (Rayleigh fading,
+//     lossy decoding), whose adapters draw from their own Rng per round;
+//   * kAuto agrees with both, on either side of kFastCutover.
+// Deployments: three shapes at n = 48, plus uniform squares at n = 5, 7, 8,
+// 65 and 127 — sizes that leave phantom tail lanes (n not a multiple of 8)
+// and ragged bitmask words, and straddle the cutover. cd-leader has no
+// decide kernel: kAuto routes it to the reference and kFast throws.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "algorithms/registry.hpp"
 #include "deploy/generators.hpp"
+#include "ext/faults.hpp"
+#include "ext/rayleigh.hpp"
 #include "sim/channel_adapter.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_runner.hpp"
@@ -30,96 +42,125 @@ namespace {
 struct ChannelCase {
   const char* name;
   bool collision_detection;  // meaningful for radio channels only
+  /// Builds a fresh adapter per call. The stateful adapters are seeded
+  /// identically every time, so each run sees the same channel draws.
   ChannelFactory factory;
 };
 
 std::vector<ChannelCase> channel_cases() {
+  const ChannelFactory sinr = sinr_channel_factory(3.0, 1.5, 1e-9);
   std::vector<ChannelCase> cases;
-  cases.push_back({"sinr", false, sinr_channel_factory(3.0, 1.5, 1e-9)});
+  cases.push_back({"sinr", false, sinr});
   cases.push_back({"radio", false, radio_channel_factory(false)});
   cases.push_back({"radio-cd", true, radio_channel_factory(true)});
+  cases.push_back(
+      {"rayleigh", false,
+       [](const Deployment& dep) -> std::unique_ptr<ChannelAdapter> {
+         return std::make_unique<RayleighSinrAdapter>(
+             SinrParams::for_longest_link(3.0, 1.5, 1e-9, dep.max_link()),
+             1.0, Rng(61));
+       }});
+  cases.push_back(
+      {"lossy-sinr", false,
+       [sinr](const Deployment& dep) -> std::unique_ptr<ChannelAdapter> {
+         return std::make_unique<LossyChannelAdapter>(sinr(dep), 0.3,
+                                                      Rng(62));
+       }});
   return cases;
 }
 
-Deployment make_shape(const std::string& shape, Rng& rng) {
-  if (shape == "square") return uniform_square(48, 14.0, rng).normalized();
-  if (shape == "chain")
-    return exponential_chain(48, 48.0 * 16.0, rng).normalized();
-  if (shape == "multi_scale") return multi_scale(4, 12, rng).normalized();
-  ADD_FAILURE() << "unknown shape " << shape;
-  return single_pair(1.0);
+struct DeploymentCase {
+  std::string name;
+  Deployment dep;
+};
+
+std::vector<DeploymentCase> deployment_cases() {
+  std::vector<DeploymentCase> cases;
+  Rng square_rng(777 + 's');
+  cases.push_back({"square", uniform_square(48, 14.0, square_rng).normalized()});
+  Rng chain_rng(777 + 'c');
+  cases.push_back(
+      {"chain", exponential_chain(48, 48.0 * 16.0, chain_rng).normalized()});
+  Rng multi_rng(777 + 'm');
+  cases.push_back({"multi_scale", multi_scale(4, 12, multi_rng).normalized()});
+  const std::size_t sizes[] = {5, 7, 8, 65, 127};
+  for (const std::size_t n : sizes) {
+    Rng rng(900 + n);
+    cases.push_back(
+        {"n" + std::to_string(n),
+         uniform_square(n, 1.5 * static_cast<double>(n) / 3.0, rng)
+             .normalized()});
+  }
+  return cases;
 }
 
-void expect_identical(const RunResult& virt, const RunResult& col,
+void expect_identical(const RunResult& a, const RunResult& b,
                       const std::string& label) {
-  EXPECT_EQ(virt.solved, col.solved) << label;
-  EXPECT_EQ(virt.rounds, col.rounds) << label;
-  EXPECT_EQ(virt.winner, col.winner) << label;
-  ASSERT_EQ(virt.history.size(), col.history.size()) << label;
-  for (std::size_t r = 0; r < virt.history.size(); ++r) {
-    const RoundStats& a = virt.history[r];
-    const RoundStats& b = col.history[r];
-    EXPECT_EQ(a.round, b.round) << label << " round " << r;
-    EXPECT_EQ(a.transmitters, b.transmitters) << label << " round " << r;
-    EXPECT_EQ(a.receptions, b.receptions) << label << " round " << r;
-    EXPECT_EQ(a.contending, b.contending) << label << " round " << r;
+  EXPECT_EQ(a.solved, b.solved) << label;
+  EXPECT_EQ(a.rounds, b.rounds) << label;
+  EXPECT_EQ(a.winner, b.winner) << label;
+  ASSERT_EQ(a.history.size(), b.history.size()) << label;
+  for (std::size_t r = 0; r < a.history.size(); ++r) {
+    const RoundStats& x = a.history[r];
+    const RoundStats& y = b.history[r];
+    EXPECT_EQ(x.round, y.round) << label << " round " << r;
+    EXPECT_EQ(x.transmitters, y.transmitters) << label << " round " << r;
+    EXPECT_EQ(x.receptions, y.receptions) << label << " round " << r;
+    EXPECT_EQ(x.contending, y.contending) << label << " round " << r;
   }
 }
 
 TEST(ColumnarIdentity, EveryRegistryAlgorithmMatchesTheVirtualOracle) {
   const auto channels = channel_cases();
+  const auto deployments = deployment_cases();
   for (const AlgorithmSpec& spec : algorithm_catalog()) {
     for (const ChannelCase& chan : channels) {
       if (spec.needs_collision_detection && !chan.collision_detection) {
         continue;  // cd-leader is undefined without collision detection
       }
-      for (const char* shape : {"square", "chain", "multi_scale"}) {
-        Rng shape_rng(777 + static_cast<std::uint64_t>(shape[0]));
-        const Deployment dep = make_shape(shape, shape_rng);
-        const auto channel = chan.factory(dep);
-        const auto algorithm = make_algorithm(spec.key, dep.size());
-        // Route supported algorithms through the forced columnar loop so a
-        // silently broken cutover cannot hide the comparison; unsupported
-        // ones exercise the kAuto fallback to the virtual loop.
-        const ExecutionPath other = algorithm->columnar() != nullptr
-                                        ? ExecutionPath::kColumnar
-                                        : ExecutionPath::kAuto;
-        ExecutionWorkspace virt_ws;
-        ExecutionWorkspace col_ws;
+      for (const DeploymentCase& dc : deployments) {
+        const auto algorithm = make_algorithm(spec.key, dc.dep.size());
+        const bool has_kernel = algorithm->columnar() != nullptr;
+        ExecutionWorkspace ref_ws;
+        ExecutionWorkspace fast_ws;
+        ExecutionWorkspace auto_ws;
+        auto run = [&](ExecutionWorkspace& ws, ExecutionPath path,
+                       bool observed, std::uint64_t seed) {
+          EngineConfig config;
+          config.max_rounds = 128;
+          config.record_rounds = observed;
+          config.path = path;
+          return ws.run(dc.dep, *algorithm, *chan.factory(dc.dep), config,
+                        Rng(seed));
+        };
+        if (!has_kernel) {
+          EXPECT_THROW((void)run(fast_ws, ExecutionPath::kFast, false, 1),
+                       std::invalid_argument)
+              << spec.key;
+        }
         for (std::uint64_t seed = 1; seed <= 32; ++seed) {
           const std::string label = std::string(spec.key) + "/" + chan.name +
-                                    "/" + shape + "/seed" +
+                                    "/" + dc.name + "/seed" +
                                     std::to_string(seed);
-          // Observed mode: full per-round history must agree.
-          EngineConfig observed;
-          observed.max_rounds = 256;
-          observed.record_rounds = true;
-          observed.path = ExecutionPath::kVirtual;
-          const RunResult virt =
-              virt_ws.run(dep, *algorithm, *channel, observed, Rng(seed));
-          observed.path = other;
-          const RunResult col =
-              col_ws.run(dep, *algorithm, *channel, observed, Rng(seed));
-          expect_identical(virt, col, label);
-
-          // Unobserved mode: no observer, no history — the columnar loop may
-          // take the active-only listener fast path, which must not change
-          // the outcome.
-          EngineConfig bare;
-          bare.max_rounds = 256;
-          bare.path = ExecutionPath::kVirtual;
-          const RunResult virt_bare =
-              virt_ws.run(dep, *algorithm, *channel, bare, Rng(seed));
-          bare.path = other;
-          const RunResult col_bare =
-              col_ws.run(dep, *algorithm, *channel, bare, Rng(seed));
-          EXPECT_EQ(virt_bare.solved, col_bare.solved) << label;
-          EXPECT_EQ(virt_bare.rounds, col_bare.rounds) << label;
-          EXPECT_EQ(virt_bare.winner, col_bare.winner) << label;
-          // Both modes of both paths agree on the outcome triple.
-          EXPECT_EQ(virt.solved, virt_bare.solved) << label;
-          EXPECT_EQ(virt.rounds, virt_bare.rounds) << label;
-          EXPECT_EQ(virt.winner, virt_bare.winner) << label;
+          // The reference's observed run fixes the history observed runs
+          // must reproduce and the outcome bare runs must reach: observing
+          // a run never changes its outcome.
+          const RunResult observed =
+              run(ref_ws, ExecutionPath::kReference, true, seed);
+          RunResult outcome = observed;
+          outcome.history.clear();
+          for (const bool watch : {true, false}) {
+            const RunResult& want = watch ? observed : outcome;
+            const std::string mode = watch ? "/observed" : "/bare";
+            if (has_kernel) {
+              expect_identical(want,
+                               run(fast_ws, ExecutionPath::kFast, watch, seed),
+                               label + mode + "/fast");
+            }
+            expect_identical(want,
+                             run(auto_ws, ExecutionPath::kAuto, watch, seed),
+                             label + mode + "/auto");
+          }
         }
       }
     }
@@ -135,7 +176,7 @@ TEST(ColumnarIdentity, ObserverForcesTheExactListenerSet) {
   const auto channel = sinr_channel_factory(3.0, 1.5, 1e-9)(dep);
   const auto algorithm = make_algorithm("fading", dep.size());
   for (const ExecutionPath path :
-       {ExecutionPath::kVirtual, ExecutionPath::kColumnar}) {
+       {ExecutionPath::kReference, ExecutionPath::kFast}) {
     EngineConfig config;
     config.max_rounds = 256;
     config.path = path;
@@ -152,10 +193,10 @@ TEST(ColumnarIdentity, ObserverForcesTheExactListenerSet) {
 }
 
 TEST(ColumnarIdentity, ParallelRunnerAgreesAcrossPathsAndThreadCounts) {
-  // The trial runner must be path-invariant end to end: serial virtual,
-  // serial columnar, and parallel columnar all produce the same rounds
-  // vector (run_trials_parallel already guarantees thread-count
-  // invariance; this pins path invariance on top).
+  // The trial runner must be path-invariant end to end: serial reference,
+  // serial fast, and parallel fast all produce the same rounds vector
+  // (run_trials_parallel already guarantees thread-count invariance; this
+  // pins path invariance on top).
   const auto make_deployment = [](Rng& rng) {
     return uniform_square(48, 14.0, rng).normalized();
   };
@@ -170,19 +211,19 @@ TEST(ColumnarIdentity, ParallelRunnerAgreesAcrossPathsAndThreadCounts) {
     c.engine.path = path;
     return c;
   };
-  const TrialSetResult serial_virtual =
+  const TrialSetResult serial_reference =
       run_trials(make_deployment, make_channel, algo_factory,
-                 config_for(ExecutionPath::kVirtual));
-  const TrialSetResult serial_columnar =
+                 config_for(ExecutionPath::kReference));
+  const TrialSetResult serial_fast =
       run_trials(make_deployment, make_channel, algo_factory,
-                 config_for(ExecutionPath::kColumnar));
-  const TrialSetResult parallel_columnar =
+                 config_for(ExecutionPath::kFast));
+  const TrialSetResult parallel_fast =
       run_trials_parallel(make_deployment, make_channel, algo_factory,
-                          config_for(ExecutionPath::kColumnar), 4);
-  EXPECT_EQ(serial_virtual.solved, serial_virtual.trials);
-  EXPECT_EQ(serial_virtual.rounds, serial_columnar.rounds);
-  EXPECT_EQ(serial_virtual.rounds, parallel_columnar.rounds);
-  EXPECT_EQ(serial_columnar.solved, parallel_columnar.solved);
+                          config_for(ExecutionPath::kFast), 4);
+  EXPECT_EQ(serial_reference.solved, serial_reference.trials);
+  EXPECT_EQ(serial_reference.rounds, serial_fast.rounds);
+  EXPECT_EQ(serial_reference.rounds, parallel_fast.rounds);
+  EXPECT_EQ(serial_fast.solved, parallel_fast.solved);
 }
 
 }  // namespace

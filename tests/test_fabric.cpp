@@ -9,6 +9,8 @@
 // under the sanitizers. Process-level kills are covered by
 // scripts/fabric_fault_matrix.sh.
 #include <chrono>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,12 +20,14 @@
 
 #include <gtest/gtest.h>
 
+#include "algorithms/registry.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/spec.hpp"
 #include "fabric/transport.hpp"
 #include "fabric/wire.hpp"
 #include "fabric/worker.hpp"
 #include "sim/campaign.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 
@@ -172,6 +176,30 @@ TEST(FabricSpec, ParseRejectsMalformedText) {
     } catch (const Error& e) {
       EXPECT_EQ(e.category(), ErrorCategory::kConfig) << bad;
     }
+  }
+}
+
+TEST(FabricSpec, AlgorithmHelpNamesEveryRegistryKey) {
+  CliParser cli("spec flags");
+  fabric::add_spec_flags(cli);
+  std::ostringstream help;
+  cli.print_help(help);
+  const std::string text = help.str();
+  const std::string flag = "  --algorithm  (default: fading)\n";
+  const std::size_t at = text.find(flag);
+  ASSERT_NE(at, std::string::npos) << text;
+  const std::size_t begin = at + flag.size();
+  const std::string line = text.substr(begin, text.find('\n', begin) - begin);
+  std::set<std::string> tokens;
+  std::istringstream fields(line.substr(line.find(':') + 1));
+  for (std::string token; std::getline(fields, token, '|');) {
+    const std::size_t lo = token.find_first_not_of(' ');
+    const std::size_t hi = token.find_last_not_of(' ');
+    if (lo != std::string::npos) tokens.insert(token.substr(lo, hi - lo + 1));
+  }
+  for (const AlgorithmSpec& spec : algorithm_catalog()) {
+    EXPECT_EQ(tokens.count(spec.key), 1u)
+        << "--algorithm help omits '" << spec.key << "': " << line;
   }
 }
 

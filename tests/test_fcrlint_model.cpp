@@ -420,7 +420,7 @@ TEST(ModelRealTree, SrcIsCleanAndRoundLoopReachesChannelResolution) {
   // Static zero-alloc proof, part 1: the hot reachable set exists and
   // contains the channel resolution layer the round loops drive — BOTH the
   // per-node virtual loop and the columnar SoA loop, which must pull in the
-  // columnar_decide implementations through virtual-call edge resolution.
+  // decide kernels through virtual-call edge resolution.
   std::vector<fcrlint::model::TreeFile> tree;
   for (const fcrlint::FileArtifacts& a : artifacts) {
     if (a.has_model) tree.push_back({a.path, &a.model, &a.allows});
@@ -436,7 +436,7 @@ TEST(ModelRealTree, SrcIsCleanAndRoundLoopReachesChannelResolution) {
 
   std::size_t reached = 0;
   bool resolve_reached = false;
-  bool columnar_decide_reached = false;
+  bool decide_reached = false;
   for (std::size_t i = 0; i < pm.fns.size(); ++i) {
     if (parent[i] == fcrlint::npos) continue;
     ++reached;
@@ -444,9 +444,9 @@ TEST(ModelRealTree, SrcIsCleanAndRoundLoopReachesChannelResolution) {
         fcrlint::detail::starts_with(pm.fns[i].file, "src/")) {
       resolve_reached = true;
     }
-    if (pm.fns[i].facts.name == "columnar_decide" &&
+    if (pm.fns[i].facts.name == "decide" &&
         fcrlint::detail::starts_with(pm.fns[i].file, "src/")) {
-      columnar_decide_reached = true;
+      decide_reached = true;
     }
   }
   // The loop body (on_round_begin/resolve/on_round_end plumbing) is part of
@@ -455,7 +455,7 @@ TEST(ModelRealTree, SrcIsCleanAndRoundLoopReachesChannelResolution) {
   // must be inside the no-allocation region too.
   EXPECT_GE(reached, 5u);
   EXPECT_TRUE(resolve_reached);
-  EXPECT_TRUE(columnar_decide_reached);
+  EXPECT_TRUE(decide_reached);
 }
 
 }  // namespace

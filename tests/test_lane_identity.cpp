@@ -1,27 +1,23 @@
-// Lane/scalar bit-identity harness for the SIMD lane engine.
+// Lane primitive and dispatch harness for the lane-blocked streams that
+// back every decide kernel.
 //
-// The lane route (LaneRng + per-algorithm lane_decide + the bitmask round
-// loop) is only allowed to exist because it is bit-identical to the scalar
-// columnar kernels, which are themselves proven against the virtual oracle
-// (test_columnar_identity.cpp). This suite pins the chain end to end:
+// The engine-level proof that the fast path equals the virtual reference
+// lives in test_columnar_identity.cpp. This suite pins the layer below it:
 //   * LaneRng primitives against per-node scalar Rng streams, including
 //     masked stepping (inactive lanes hold position) and the bernoulli
 //     clamp cases p <= 0 / p >= 1;
-//   * every certified registry kernel, kColumnarScalar vs kColumnarLanes,
-//     across channels, ragged deployment sizes (n not a multiple of 64 or
-//     8), and 32 seeds — full per-round history equality in observed mode,
-//     outcome equality (and agreement with the virtual oracle, which pins
-//     the mask round loop) in bare mode;
 //   * both dispatch targets (AVX2 and the generic u64 fallback) produce the
-//     same bits when the host supports both;
-//   * a kernel whose lane_kernel_id is NOT in the certificate allowlist is
-//     statically excluded from the SIMD route: auto routing falls back to
-//     the scalar kernels and forcing kColumnarLanes throws.
+//     same bits when the host supports both, primitive by primitive and
+//     through a whole execution;
+//   * every registry decide kernel, run on the fast path with the scalar
+//     (generic) target forced and with the auto-selected target, across
+//     channels, ragged deployment sizes (n not a multiple of 64 or 8) and
+//     32 seeds: full per-round history equality in observed mode, and
+//     outcome equality with the virtual reference in bare mode.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,7 +25,6 @@
 #include "deploy/generators.hpp"
 #include "sim/channel_adapter.hpp"
 #include "sim/engine.hpp"
-#include "sim/kernel_certificates.hpp"
 #include "sim/runner.hpp"
 #include "sim/workspace.hpp"
 #include "util/rng.hpp"
@@ -222,7 +217,33 @@ TEST(LaneDispatch, BothTargetsProduceIdenticalBits) {
   EXPECT_EQ(generic, avx2);
 }
 
-// ------------------------------------------- engine-level identity suite
+// ------------------------------------------------ engine, both targets
+
+TEST(LaneIdentity, ForcedGenericDispatchMatchesAutoOnTheEngine) {
+  if (!avx2_available()) {
+    GTEST_SKIP() << "host has no AVX2; auto already IS the generic target";
+  }
+  Rng dep_rng(41);
+  const Deployment dep = uniform_square(96, 28.0, dep_rng).normalized();
+  const auto channel = sinr_channel_factory(3.0, 1.5, 1e-9)(dep);
+  const auto algorithm = make_algorithm("fading", dep.size());
+  EngineConfig config;
+  config.max_rounds = 512;
+  config.path = ExecutionPath::kFast;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    ExecutionWorkspace ws_auto;
+    const RunResult auto_run =
+        ws_auto.run(dep, *algorithm, *channel, config, Rng(seed));
+    force_lane_dispatch(LaneDispatch::kGeneric);
+    ExecutionWorkspace ws_generic;
+    const RunResult generic_run =
+        ws_generic.run(dep, *algorithm, *channel, config, Rng(seed));
+    reset_lane_dispatch();
+    EXPECT_EQ(auto_run.solved, generic_run.solved) << seed;
+    EXPECT_EQ(auto_run.rounds, generic_run.rounds) << seed;
+    EXPECT_EQ(auto_run.winner, generic_run.winner) << seed;
+  }
+}
 
 struct ChannelCase {
   const char* name;
@@ -254,14 +275,27 @@ void expect_identical(const RunResult& a, const RunResult& b,
   }
 }
 
+// Runs `config` on the fast path with the scalar (generic) lane target
+// forced, then restores the auto-selected target.
+RunResult run_scalar_target(ExecutionWorkspace& ws, const Deployment& dep,
+                            const Algorithm& algorithm,
+                            const ChannelAdapter& channel,
+                            const EngineConfig& config, std::uint64_t seed) {
+  force_lane_dispatch(LaneDispatch::kGeneric);
+  RunResult result = ws.run(dep, algorithm, channel, config, Rng(seed));
+  reset_lane_dispatch();
+  return result;
+}
+
 TEST(LaneIdentity, EveryCertifiedKernelMatchesScalarAndVirtual) {
+  // A decide kernel is certified by differential identity alone: on both
+  // lane targets it must reproduce the virtual reference bit for bit.
   const auto channels = channel_cases();
-  // Ragged sizes on purpose: 48 (below the lane cutover, sub-word), 65 (one
-  // bit past a word; one lane past a block), 127 (one bit short of two
-  // words).
+  // Ragged sizes on purpose: 48 (sub-word), 65 (one bit past a word; one
+  // lane past a block), 127 (one bit short of two words).
   const std::size_t sizes[] = {48, 65, 127};
   for (const AlgorithmSpec& spec : algorithm_catalog()) {
-    if (spec.needs_collision_detection) continue;  // no lane kernels use CD
+    if (spec.needs_collision_detection) continue;  // no decide kernel uses CD
     for (const ChannelCase& chan : channels) {
       for (const std::size_t n : sizes) {
         Rng dep_rng(900 + n);
@@ -270,49 +304,42 @@ TEST(LaneIdentity, EveryCertifiedKernelMatchesScalarAndVirtual) {
                 .normalized();
         const auto channel = chan.factory(dep);
         const auto algorithm = make_algorithm(spec.key, dep.size());
-        const ColumnarAlgorithm* columnar = algorithm->columnar();
-        if (columnar == nullptr) continue;
-        ASSERT_NE(columnar->lane_kernel_id(), nullptr)
-            << spec.key << ": every registry columnar kernel ships a lane "
-            << "form in this PR";
-        ASSERT_TRUE(kernel_simd_certified(columnar->lane_kernel_id()))
-            << spec.key;
+        ASSERT_NE(algorithm->columnar(), nullptr)
+            << spec.key << ": every registry algorithm without collision "
+            << "detection ships a decide kernel";
         ExecutionWorkspace scalar_ws;
-        ExecutionWorkspace lane_ws;
+        ExecutionWorkspace auto_ws;
         ExecutionWorkspace virt_ws;
         for (std::uint64_t seed = 1; seed <= 32; ++seed) {
           const std::string label = std::string(spec.key) + "/" + chan.name +
                                     "/n" + std::to_string(n) + "/seed" +
                                     std::to_string(seed);
-          // Observed mode: the lane route runs inside the materializing
-          // loop; the full per-round history must match the scalar kernels.
+          // Observed mode: the kernel runs inside the materializing loop;
+          // the full per-round history must match across targets.
           EngineConfig observed;
           observed.max_rounds = 192;
           observed.record_rounds = true;
-          observed.path = ExecutionPath::kColumnarScalar;
-          const RunResult scalar_run =
-              scalar_ws.run(dep, *algorithm, *channel, observed, Rng(seed));
-          observed.path = ExecutionPath::kColumnarLanes;
-          const RunResult lane_run =
-              lane_ws.run(dep, *algorithm, *channel, observed, Rng(seed));
-          expect_identical(scalar_run, lane_run, label);
+          observed.path = ExecutionPath::kFast;
+          const RunResult scalar_run = run_scalar_target(
+              scalar_ws, dep, *algorithm, *channel, observed, seed);
+          const RunResult auto_run =
+              auto_ws.run(dep, *algorithm, *channel, observed, Rng(seed));
+          expect_identical(scalar_run, auto_run, label);
 
-          // Bare mode: both columnar paths take the bitmask round loop
-          // (when the algorithm/channel pair supports it); the virtual
-          // oracle pins that loop's outcomes, not just lane/scalar
-          // agreement.
+          // Bare mode: the fast path takes the bitmask round loop (when the
+          // algorithm/channel pair supports it); the virtual reference pins
+          // that loop's outcomes, not just agreement between the targets.
           EngineConfig bare;
           bare.max_rounds = 192;
-          bare.path = ExecutionPath::kColumnarScalar;
-          const RunResult scalar_bare =
-              scalar_ws.run(dep, *algorithm, *channel, bare, Rng(seed));
-          bare.path = ExecutionPath::kColumnarLanes;
-          const RunResult lane_bare =
-              lane_ws.run(dep, *algorithm, *channel, bare, Rng(seed));
-          bare.path = ExecutionPath::kVirtual;
+          bare.path = ExecutionPath::kFast;
+          const RunResult scalar_bare = run_scalar_target(
+              scalar_ws, dep, *algorithm, *channel, bare, seed);
+          const RunResult auto_bare =
+              auto_ws.run(dep, *algorithm, *channel, bare, Rng(seed));
+          bare.path = ExecutionPath::kReference;
           const RunResult virt_bare =
               virt_ws.run(dep, *algorithm, *channel, bare, Rng(seed));
-          for (const RunResult* r : {&scalar_bare, &lane_bare}) {
+          for (const RunResult* r : {&scalar_bare, &auto_bare}) {
             EXPECT_EQ(virt_bare.solved, r->solved) << label;
             EXPECT_EQ(virt_bare.rounds, r->rounds) << label;
             EXPECT_EQ(virt_bare.winner, r->winner) << label;
@@ -325,116 +352,6 @@ TEST(LaneIdentity, EveryCertifiedKernelMatchesScalarAndVirtual) {
       }
     }
   }
-}
-
-TEST(LaneIdentity, ForcedGenericDispatchMatchesAutoOnTheEngine) {
-  if (!avx2_available()) {
-    GTEST_SKIP() << "host has no AVX2; auto already IS the generic target";
-  }
-  Rng dep_rng(41);
-  const Deployment dep = uniform_square(96, 28.0, dep_rng).normalized();
-  const auto channel = sinr_channel_factory(3.0, 1.5, 1e-9)(dep);
-  const auto algorithm = make_algorithm("fading", dep.size());
-  EngineConfig config;
-  config.max_rounds = 512;
-  config.path = ExecutionPath::kColumnarLanes;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    ExecutionWorkspace ws_auto;
-    const RunResult auto_run =
-        ws_auto.run(dep, *algorithm, *channel, config, Rng(seed));
-    force_lane_dispatch(LaneDispatch::kGeneric);
-    ExecutionWorkspace ws_generic;
-    const RunResult generic_run =
-        ws_generic.run(dep, *algorithm, *channel, config, Rng(seed));
-    reset_lane_dispatch();
-    EXPECT_EQ(auto_run.solved, generic_run.solved) << seed;
-    EXPECT_EQ(auto_run.rounds, generic_run.rounds) << seed;
-    EXPECT_EQ(auto_run.winner, generic_run.winner) << seed;
-  }
-}
-
-// ------------------------------------------- decertified-kernel rejection
-
-/// A columnar algorithm whose lane_kernel_id is NOT in the certificate
-/// allowlist: the engine must keep it off the SIMD route. The scalar kernel
-/// delegates to columnar_bernoulli_all so the class stays lane-pure under
-/// fcrlint's tree scan (this is a statically-excluded kernel, not an impure
-/// one).
-class UncertifiedLaneAlgo final : public Algorithm, public ColumnarAlgorithm {
- public:
-  std::string name() const override { return "uncertified-lane"; }
-  std::unique_ptr<NodeProtocol> make_node(NodeId /*id*/, Rng rng) const override {
-    class Node final : public NodeProtocol {
-     public:
-      explicit Node(Rng rng) : rng_(rng) {}
-      Action on_round_begin(std::uint64_t) override {
-        return rng_.bernoulli(0.5) ? Action::kTransmit : Action::kListen;
-      }
-      void on_round_end(const Feedback&) override {}
-
-     private:
-      Rng rng_;
-    };
-    return std::make_unique<Node>(rng);
-  }
-  const ColumnarAlgorithm* columnar() const override { return this; }
-  void columnar_decide(std::uint64_t /*round*/, ColumnarState& state,
-                       std::span<std::uint64_t> decisions) const override {
-    columnar_bernoulli_all(state, 0.5, decisions);
-  }
-  FeedbackMode feedback_mode() const override { return FeedbackMode::kNone; }
-  const char* lane_kernel_id() const override {
-    return "fcr::UncertifiedLaneAlgo::columnar_decide";  // not allowlisted
-  }
-  void lane_decide(std::uint64_t /*round*/, ColumnarState& /*state*/,
-                   LaneRng& /*lanes*/,
-                   std::span<std::uint64_t> /*decisions*/) const override {
-    lane_decide_called = true;
-  }
-
-  mutable bool lane_decide_called = false;
-};
-
-TEST(LaneCertificates, UncertifiedKernelIsStaticallyExcludedFromSimdRoute) {
-  ASSERT_FALSE(kernel_simd_certified("fcr::UncertifiedLaneAlgo::columnar_decide"));
-  Rng dep_rng(17);
-  // Well past both cutovers so auto routing would pick lanes if certified.
-  const Deployment dep = uniform_square(128, 36.0, dep_rng).normalized();
-  const auto channel = radio_channel_factory(false)(dep);
-  UncertifiedLaneAlgo algo;
-  ExecutionWorkspace ws;
-
-  for (const ExecutionPath path :
-       {ExecutionPath::kAuto, ExecutionPath::kColumnar,
-        ExecutionPath::kColumnarScalar}) {
-    EngineConfig config;
-    config.max_rounds = 64;
-    config.path = path;
-    algo.lane_decide_called = false;
-    (void)ws.run(dep, algo, *channel, config, Rng(3));
-    EXPECT_FALSE(algo.lane_decide_called)
-        << "path " << static_cast<int>(path)
-        << " routed an uncertified kernel to the SIMD lane engine";
-  }
-
-  EngineConfig forced;
-  forced.max_rounds = 64;
-  forced.path = ExecutionPath::kColumnarLanes;
-  EXPECT_THROW((void)ws.run(dep, algo, *channel, forced, Rng(3)),
-               std::invalid_argument);
-}
-
-TEST(LaneCertificates, AllRegistryLaneKernelsAreCertified) {
-  std::size_t lane_kernels = 0;
-  for (const AlgorithmSpec& spec : algorithm_catalog()) {
-    const auto algorithm = make_algorithm(spec.key, 64);
-    const ColumnarAlgorithm* columnar = algorithm->columnar();
-    if (columnar == nullptr || columnar->lane_kernel_id() == nullptr) continue;
-    ++lane_kernels;
-    EXPECT_TRUE(kernel_simd_certified(columnar->lane_kernel_id()))
-        << spec.key << " ships a lane kernel without a certificate";
-  }
-  EXPECT_EQ(lane_kernels, std::size(kCertifiedLaneKernels));
 }
 
 }  // namespace

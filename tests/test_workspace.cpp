@@ -387,7 +387,7 @@ TEST(Workspace, WarmRunsAllocateNothingForEveryRegistryAlgorithm) {
     const ChannelAdapter& channel =
         spec.needs_collision_detection ? *radio_cd : *sinr;
     for (const ExecutionPath path :
-         {ExecutionPath::kVirtual, ExecutionPath::kAuto}) {
+         {ExecutionPath::kReference, ExecutionPath::kAuto}) {
       EngineConfig config;
       config.path = path;
       // Bounds the feedback-oblivious baselines that rarely solve n=96
@@ -408,7 +408,7 @@ TEST(Workspace, WarmRunsAllocateNothingForEveryRegistryAlgorithm) {
       }
       EXPECT_EQ(g_allocations.load() - before, 0u)
           << "warm runs of '" << spec.key << "' on the "
-          << (path == ExecutionPath::kVirtual ? "virtual" : "auto")
+          << (path == ExecutionPath::kReference ? "reference" : "auto")
           << " path must not allocate";
     }
   }

@@ -12,22 +12,22 @@ endfunction()
 
 # --- a v4 rule explains fully -------------------------------------------
 execute_process(
-  COMMAND ${FCRLINT} --explain lane-purity
+  COMMAND ${FCRLINT} --explain definite-init
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  fail("--explain lane-purity exited ${rc}: ${err}")
+  fail("--explain definite-init exited ${rc}: ${err}")
 endif()
 foreach(needle
-    "lane-purity —"
+    "definite-init —"
     "why:"
     "minimal violation:"
     "suppression"
-    "FCRLINT_ALLOW(lane-purity")
+    "FCRLINT_ALLOW(definite-init")
   string(FIND "${out}" "${needle}" pos)
   if(pos EQUAL -1)
-    fail("--explain lane-purity output is missing '${needle}':\n${out}")
+    fail("--explain definite-init output is missing '${needle}':\n${out}")
   endif()
 endforeach()
 
@@ -56,8 +56,8 @@ foreach(id ${rule_ids})
   endif()
   math(EXPR explained "${explained} + 1")
 endforeach()
-if(explained LESS 19)
-  fail("only ${explained} rules explained; expected all 19")
+if(explained LESS 18)
+  fail("only ${explained} rules explained; expected all 18")
 endif()
 
 # --- unknown rules are a diagnosed error, not a crash -------------------

@@ -101,42 +101,6 @@ int explain(const std::string& rule) {
   return 0;
 }
 
-/// Serializes the lane-purity kernel certificates as kernel_manifest.json —
-/// the worklist the SIMD-lanes PR consumes. Draw counts are per-lane
-/// generator invocations per round; min < max marks a round-uniform gate.
-std::string kernel_manifest_json(
-    const std::vector<fcrlint::model::KernelRecord>& kernels) {
-  using fcrlint::sarifdetail::json_escape;
-  std::string s = "{\n  \"schema\": \"fcrlint-kernel-manifest/1\",\n";
-  s += "  \"kernels\": [\n";
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    const fcrlint::model::KernelRecord& k = kernels[i];
-    auto list = [](const std::vector<std::string>& v) {
-      std::string out = "[";
-      for (std::size_t j = 0; j < v.size(); ++j) {
-        out += (j == 0 ? "" : ", ") + ("\"" + json_escape(v[j]) + "\"");
-      }
-      return out + "]";
-    };
-    s += "    {\n";
-    s += "      \"kernel\": \"" + json_escape(k.qualified) + "\",\n";
-    s += "      \"file\": \"" + json_escape(k.file) + "\",\n";
-    s += "      \"line\": " + std::to_string(k.line) + ",\n";
-    s += "      \"columns_read\": " + list(k.columns_read) + ",\n";
-    s += "      \"columns_written\": " + list(k.columns_written) + ",\n";
-    s += "      \"rng_draws_per_node\": { \"min\": " +
-         std::to_string(k.draw_min) +
-         ", \"max\": " + std::to_string(k.draw_max) + " },\n";
-    s += "      \"pure\": " + std::string(k.pure ? "true" : "false") + ",\n";
-    s += "      \"simd_eligible\": " +
-         std::string(k.simd_eligible ? "true" : "false") + ",\n";
-    s += "      \"reasons\": " + list(k.reasons) + "\n";
-    s += i + 1 < kernels.size() ? "    },\n" : "    }\n";
-  }
-  s += "  ]\n}\n";
-  return s;
-}
-
 /// Runs `git diff -U0 --no-color <ref>` under `root` and captures stdout.
 /// Returns false (with a message on stderr) if git fails.
 bool git_diff(const fs::path& root, const std::string& ref, std::string& out) {
@@ -216,7 +180,6 @@ int main(int argc, char** argv) {
   std::string stats_path;
   std::string diff_base;
   std::string diff_file;
-  std::string manifest_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* opt) -> const char* {
@@ -250,10 +213,6 @@ int main(int argc, char** argv) {
       const char* v = value("--diff-file");
       if (v == nullptr) return 2;
       diff_file = v;
-    } else if (arg == "--kernel-manifest") {
-      const char* v = value("--kernel-manifest");
-      if (v == nullptr) return 2;
-      manifest_path = v;
     } else if (arg == "--explain") {
       const char* v = value("--explain");
       if (v == nullptr) return 2;
@@ -271,8 +230,7 @@ int main(int argc, char** argv) {
       std::cout << "usage: fcrlint [--root DIR] [--quiet] [--sarif FILE]\n"
                    "               [--cache FILE] [--timings] [--stats-out "
                    "FILE] [--fix]\n"
-                   "               [--kernel-manifest FILE] [--explain "
-                   "RULE]\n"
+                   "               [--explain RULE]\n"
                    "               [--diff-base REF | --diff-file FILE]\n"
                    "               [--list-rules] [PATH...]\n";
       print_rules();
@@ -383,16 +341,7 @@ int main(int argc, char** argv) {
   }
 
   clock.mark("graph");
-  fcrlint::TreeResult tree = fcrlint::finalize_tree_full(artifacts);
-  std::vector<fcrlint::Finding>& findings = tree.findings;
-  if (!manifest_path.empty()) {
-    std::ofstream out(manifest_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "fcrlint: cannot write " << manifest_path << '\n';
-      return 2;
-    }
-    out << kernel_manifest_json(tree.kernels);
-  }
+  std::vector<fcrlint::Finding> findings = fcrlint::finalize_tree(artifacts);
 
   clock.mark("cache-save");
   if (!cache_path.empty()) {

@@ -25,18 +25,14 @@
 //   U <type>                             type name mentioned in the file
 //   K <class> <base>...                  class decl with base last-names
 //   G <class> <field> <mutex> <line>     FCR_GUARDED_BY field
-//   D <line> <def> <virt> <qualified> <name> <class>   function (starts group)
+//   D <line> <def> <qualified> <name> <class>   function (starts group)
 //   L <lock>                             held/required lock of the last D
-//   C <line> <receiver> <callee> <gate> <held-csv>   call site of the last D
+//   C <line> <receiver> <callee> <held-csv>   call site of the last D
 //   M <kind> <line> <what>               allocation site of the last D
 //   T <line> <head>                      throw site of the last D
 //   S <kind> <line> <name>               Rng site of the last D
 //   X <line> <qualified> <name> <receiver> <recv-type> <held-csv>  access
-//   O <line> <write> <class> <column>    columnar column access of the last D
-//   W <line> <gate>                      RNG draw site of the last D
 //   H <line> <name>                      definite-init hazard of the last D
-//   Y <line> <what>                      purity issue of the last D
-//   Q <draw-min> <draw-max>              per-lane draw interval of the last D
 //
 // The header fingerprint hashes the enabled rule ids together with the
 // format revisions of every analysis layer (core, CFG, dataflow, model,
@@ -288,19 +284,15 @@ class ArtifactCache {
       } else if (tag == "D") {
         model::FunctionFacts ff;
         int def = 0;
-        int virt = 0;
-        if (f.size() != 7 || !num(1, ff.line) || !num(2, def) ||
-            !num(3, virt) || !str(4, ff.qualified) || !str(5, ff.name) ||
-            !str(6, ff.cls)) {
+        if (f.size() != 6 || !num(1, ff.line) || !num(2, def) ||
+            !str(3, ff.qualified) || !str(4, ff.name) || !str(5, ff.cls)) {
           return fail();
         }
         ff.is_definition = def != 0;
-        ff.is_virtual = virt != 0;
         a.model.functions.push_back(std::move(ff));
         fn = &a.model.functions.back();
       } else if (tag == "L" || tag == "C" || tag == "M" || tag == "T" ||
-                 tag == "S" || tag == "X" || tag == "O" || tag == "W" ||
-                 tag == "H" || tag == "Y" || tag == "Q") {
+                 tag == "S" || tag == "X" || tag == "H") {
         if (fn == nullptr) return fail();
         auto held_list = [&](std::size_t i,
                              std::vector<std::string>& out) {
@@ -321,42 +313,17 @@ class ArtifactCache {
           fn->locks.push_back(std::move(s));
         } else if (tag == "C") {
           model::CallSite c;
-          if (f.size() != 6 || !num(1, c.line) || !str(2, c.receiver) ||
-              !str(3, c.callee) || !num(4, c.gate) ||
-              !held_list(5, c.held)) {
+          if (f.size() != 5 || !num(1, c.line) || !str(2, c.receiver) ||
+              !str(3, c.callee) || !held_list(4, c.held)) {
             return fail();
           }
           fn->calls.push_back(std::move(c));
-        } else if (tag == "O") {
-          model::ColAccess c;
-          if (f.size() != 5 || !num(1, c.line) || !num(2, c.write) ||
-              !num(3, c.index_class) || !str(4, c.column)) {
-            return fail();
-          }
-          fn->cols.push_back(std::move(c));
-        } else if (tag == "W") {
-          model::DrawSite d;
-          if (f.size() != 3 || !num(1, d.line) || !num(2, d.gate)) {
-            return fail();
-          }
-          fn->draws.push_back(d);
         } else if (tag == "H") {
           model::InitHazard h;
           if (f.size() != 3 || !num(1, h.line) || !str(2, h.name)) {
             return fail();
           }
           fn->init_hazards.push_back(std::move(h));
-        } else if (tag == "Y") {
-          model::PurityIssue p;
-          if (f.size() != 3 || !num(1, p.line) || !str(2, p.what)) {
-            return fail();
-          }
-          fn->purity.push_back(std::move(p));
-        } else if (tag == "Q") {
-          if (f.size() != 3 || !num(1, fn->draw_min) ||
-              !num(2, fn->draw_max)) {
-            return fail();
-          }
         } else if (tag == "M") {
           model::AllocSite m;
           if (f.size() != 4 || !num(1, m.kind) || !num(2, m.line) ||
@@ -474,7 +441,6 @@ class ArtifactCache {
             return cdetail::escape(csv);
           };
           out << "D " << fn.line << ' ' << (fn.is_definition ? 1 : 0) << ' '
-              << (fn.is_virtual ? 1 : 0) << ' '
               << cdetail::escape(fn.qualified) << ' '
               << cdetail::escape(fn.name) << ' ' << cdetail::escape(fn.cls)
               << '\n';
@@ -483,8 +449,8 @@ class ArtifactCache {
           }
           for (const model::CallSite& c : fn.calls) {
             out << "C " << c.line << ' ' << cdetail::escape(c.receiver) << ' '
-                << cdetail::escape(c.callee) << ' ' << c.gate << ' '
-                << held_csv(c.held) << '\n';
+                << cdetail::escape(c.callee) << ' ' << held_csv(c.held)
+                << '\n';
           }
           for (const model::AllocSite& m : fn.allocs) {
             out << "M " << m.kind << ' ' << m.line << ' '
@@ -503,21 +469,8 @@ class ArtifactCache {
                 << ' ' << cdetail::escape(x.recv_type) << ' '
                 << held_csv(x.held) << '\n';
           }
-          for (const model::ColAccess& c : fn.cols) {
-            out << "O " << c.line << ' ' << c.write << ' ' << c.index_class
-                << ' ' << cdetail::escape(c.column) << '\n';
-          }
-          for (const model::DrawSite& d : fn.draws) {
-            out << "W " << d.line << ' ' << d.gate << '\n';
-          }
           for (const model::InitHazard& h : fn.init_hazards) {
             out << "H " << h.line << ' ' << cdetail::escape(h.name) << '\n';
-          }
-          for (const model::PurityIssue& p : fn.purity) {
-            out << "Y " << p.line << ' ' << cdetail::escape(p.what) << '\n';
-          }
-          if (fn.draw_min != 0 || fn.draw_max != 0) {
-            out << "Q " << fn.draw_min << ' ' << fn.draw_max << '\n';
           }
         }
       }

@@ -19,11 +19,10 @@
 //     return / throw / break / continue terminate their block with an edge
 //     to the exit or the enclosing loop targets;
 //   * every block records the stack of enclosing guards (if / ternary /
-//     loop conditions, outermost first), which is how the lane-purity rule
-//     classifies what a draw site is gated on;
+//     loop conditions, outermost first);
 //   * loops are indexed with their body token spans so analyses can ask for
 //     the innermost loop enclosing a token and re-run a sub-CFG over just
-//     that body (per-iteration draw counting).
+//     that body.
 //
 // The builder is a pure function of a token range: no model types, no
 // filesystem, never fails (malformed input degrades to a linear block — the

@@ -51,7 +51,7 @@ struct RuleMeta {
 /// change; feeds the cache fingerprint.
 inline constexpr int kCoreRev = 2;
 
-inline constexpr std::array<RuleMeta, 19> kRules = {{
+inline constexpr std::array<RuleMeta, 18> kRules = {{
     {"determinism",
      "entropy and wall-clock sources are banned in src/ (outside "
      "src/util/rng.*); all randomness flows through the seeded fcr::Rng"},
@@ -111,13 +111,6 @@ inline constexpr std::array<RuleMeta, 19> kRules = {{
      "interprocedural: throw sites reachable from ThreadPool task bodies "
      "(for_each callers) must construct fcr::Error, not bare std:: "
      "exceptions, so faults keep their trial provenance"},
-    {"lane-purity",
-     "dataflow: every ColumnarAlgorithm::columnar_decide override (and its "
-     "transitive callees) must touch element columns only at the current "
-     "lane, word columns only at the current word, take no locks, reach no "
-     "virtual calls, and draw a path-invariant number of per-lane RNG "
-     "values — the certificate SIMD lane batching depends on (emitted to "
-     "kernel_manifest.json)"},
     {"definite-init",
      "dataflow: a container subscripted or back()/front()/at()-read in a "
      "function that sizes it (resize/assign/reserve) on only SOME CFG "
@@ -281,7 +274,7 @@ inline const RuleExplanation* explain_rule(std::string_view rule) {
     std::string_view id;
     RuleExplanation ex;
   };
-  static constexpr std::array<Entry, 19> kTable = {{
+  static constexpr std::array<Entry, 18> kTable = {{
       {"determinism",
        {"Reproducibility is the repo's core contract: every trial must "
         "replay bit-identically from its seed. Ambient entropy "
@@ -383,19 +376,6 @@ inline const RuleExplanation* explain_rule(std::string_view rule) {
         "  throw std::runtime_error(\"bad\");  // inside a for_each body",
         "// FCRLINT_ALLOW(error-provenance): <why provenance is preserved "
         "anyway>"}},
-      {"lane-purity",
-       {"SIMD lane batching runs 64 nodes per word with per-lane xoshiro "
-        "streams; it is only bit-identical to the scalar engine if every "
-        "columnar_decide kernel touches element columns at the current "
-        "lane only, word columns at the current word only, takes no locks, "
-        "reaches no virtual calls, and draws the same number of RNG values "
-        "on every CFG path. The verdicts land in kernel_manifest.json.",
-        "  if (state.probability[id] > 0.5) {  // lane-varying gate\n"
-        "    state.rng[id].bernoulli(p);       // draws 1 on one path, 0 "
-        "on the other\n"
-        "  }",
-        "// FCRLINT_ALLOW(lane-purity): <why this kernel must stay scalar "
-        "— it will be excluded from lane batching>"}},
       {"definite-init",
        {"A container sized on only some CFG paths before a subscript read "
         "is a cold-path crash: the untested branch indexes an empty "

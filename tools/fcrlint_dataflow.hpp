@@ -5,19 +5,15 @@
 // along successor edges until a fixpoint; unreachable blocks keep an empty
 // optional, which is how dead code is told apart from "reached with an
 // empty fact". Termination comes from the lattices, not the solver: the
-// concrete lattices below have finite height (must-sets only shrink under
-// intersection; draw-count intervals saturate), and a generous iteration
-// backstop guards against a client lattice that fails to converge — a
-// linter must degrade, never hang.
+// must-set lattice below has finite height (must-sets only shrink under
+// intersection), and a generous iteration backstop guards against a client
+// lattice that fails to converge — a linter must degrade, never hang.
 //
-// Three lattices cover the v4 rules:
+// Two pieces cover the v4 rules:
 //
 //   MustSet     sorted string set, join = intersection (definite-init's
 //               initialized-names fact and lockset-path's held-mutexes fact
 //               are both "true on ALL paths" facts);
-//   CountRange  [min, max] RNG draws since entry, join = interval hull,
-//               addition saturating at kCountSaturated (a draw inside a
-//               nested non-lane loop is "unbounded", not a huge number);
 //   the lock replay helper walks a block's ordered events (code spans,
 //               acquire, release) so per-site facts — "what is held at
 //               THIS access" — fall out of the block-entry solution.
@@ -36,7 +32,7 @@ namespace fcrlint::dataflow {
 
 /// Bump when solver semantics or the concrete lattices change; feeds the
 /// cache fingerprint.
-inline constexpr int kDataflowRev = 1;
+inline constexpr int kDataflowRev = 2;
 
 /// Forward worklist solve. `transfer(block_id, in_fact) -> out_fact`,
 /// `join(a, b) -> merged`. Returns the fact at each block's ENTRY; apply
@@ -54,7 +50,7 @@ inline std::vector<std::optional<Fact>> solve_forward(const cfg::Cfg& g,
   std::vector<std::size_t> work = {g.entry};
   queued[g.entry] = 1;
   // Backstop: each block can be revisited at most a lattice-height number
-  // of times; 64 covers the saturating count interval with slack.
+  // of times; 64 covers lattices of height up to 64 with slack.
   std::size_t budget = g.blocks.size() * 64 + 256;
   while (!work.empty() && budget-- > 0) {
     const std::size_t b = work.back();
@@ -86,30 +82,6 @@ inline MustSet must_join(const MustSet& a, const MustSet& b) {
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::inserter(out, out.begin()));
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Draw-count interval lattice (lane-purity path counting).
-// ---------------------------------------------------------------------------
-
-/// Counts above this are "unbounded" — a draw under a back edge whose trip
-/// count the linter cannot see. Saturation keeps the lattice finite.
-inline constexpr int kCountSaturated = 64;
-
-struct CountRange {
-  int min = 0;
-  int max = 0;
-  friend bool operator==(const CountRange&, const CountRange&) = default;
-};
-
-inline CountRange count_add(CountRange r, int n) {
-  r.min = std::min(r.min + n, kCountSaturated);
-  r.max = std::min(r.max + n, kCountSaturated);
-  return r;
-}
-
-inline CountRange count_join(const CountRange& a, const CountRange& b) {
-  return {std::min(a.min, b.min), std::max(a.max, b.max)};
 }
 
 // ---------------------------------------------------------------------------

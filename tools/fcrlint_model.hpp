@@ -53,7 +53,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -66,7 +65,7 @@ namespace fcrlint::model {
 
 /// Bump when extraction output (the per-function fact schema or how facts
 /// are computed) changes; feeds the cache fingerprint.
-inline constexpr int kModelRev = 4;
+inline constexpr int kModelRev = 5;
 
 // ---------------------------------------------------------------------------
 // Per-file facts.
@@ -76,9 +75,6 @@ struct CallSite {
   int line = 1;
   std::string receiver;  ///< object of a ./-> call ("" for free calls)
   std::string callee;    ///< name, possibly "A::b" qualified
-  /// What the call is gated on (max taint of enclosing non-loop guards):
-  /// 0 round-uniform, 1 active-mask-derived, 2 lane-varying.
-  int gate = 0;
   std::vector<std::string> held;  ///< must-held mutexes at this site
   std::size_t tok = npos;  ///< token index (extraction-transient, not cached)
 };
@@ -123,44 +119,11 @@ struct Access {
   std::size_t tok = npos;  ///< token index (extraction-transient, not cached)
 };
 
-/// A columnar-state access: `state.<column>[index]`, a bitmask buffer
-/// parameter subscript, or a whole-column operation (assign/fill/range-for).
-struct ColAccess {
-  enum IndexClass : int {
-    kLane = 0,   ///< the current lane id (loop induction over node_count, or
-                 ///< the word*64+countr_zero word-sweep derivation)
-    kWord = 1,   ///< a word index (lane >> 6, or a word-loop variable)
-    kWhole = 2,  ///< whole-column operation
-    kOther = 3,  ///< anything else — cross-lane by construction
-  };
-  int line = 1;
-  std::string column;
-  int write = 0;
-  int index_class = kOther;
-};
-
-/// A per-node RNG draw (a member call on an Rng column element or Rng-typed
-/// local). `gate` classifies the enclosing non-loop conditions: 0 round-
-/// uniform, 1 active-mask-derived (the sanctioned word-skipping sweep), 2
-/// lane-varying — the class that breaks xoshiro lane batching.
-struct DrawSite {
-  int line = 1;
-  int gate = 0;
-};
-
 /// A read of a container on some path where no resize/assign/reserve has
 /// definitely happened yet (must-init dataflow over the CFG).
 struct InitHazard {
   int line = 1;
   std::string name;
-};
-
-/// A local lane-purity defect found by the draw-count dataflow (path-
-/// dependent counts, draws in non-lane loops, lane-varying gates on a whole
-/// draw loop).
-struct PurityIssue {
-  int line = 1;
-  std::string what;
 };
 
 struct FunctionFacts {
@@ -169,21 +132,13 @@ struct FunctionFacts {
   std::string cls;        ///< "fcr::ThreadPool" ("" for free functions)
   int line = 1;
   bool is_definition = false;
-  bool is_virtual = false;  ///< declared virtual, or marked override/final
   std::vector<std::string> locks;  ///< held (MutexLock/.lock()) or FCR_REQUIRES
   std::vector<CallSite> calls;
   std::vector<AllocSite> allocs;
   std::vector<ThrowSite> throw_sites;
   std::vector<RngSite> rngs;
   std::vector<Access> accesses;
-  std::vector<ColAccess> cols;
-  std::vector<DrawSite> draws;
   std::vector<InitHazard> init_hazards;
-  std::vector<PurityIssue> purity;
-  /// Per-lane RNG draws from this function's own lane loops, as a
-  /// [min, max] interval (callee draws are summed in at tree level).
-  int draw_min = 0;
-  int draw_max = 0;
 };
 
 struct GuardedField {
@@ -368,9 +323,6 @@ inline std::size_t try_function(const std::vector<Token>& t, std::size_t i,
       break;
     }
     if (tk.kind == TokKind::kIdent) {
-      if (tk.text == "override" || tk.text == "final") {
-        rf.facts.is_virtual = true;  // override implies a virtual base decl
-      }
       if (k + 1 < n && t[k + 1].punct("(") &&
           (starts_with(tk.text, "FCR_") || tk.text == "noexcept" ||
            tk.text == "throw")) {
@@ -468,16 +420,9 @@ inline void parse_structure(const std::vector<Token>& t,
 
   const std::size_t n = t.size();
   std::size_t i = 0;
-  // `virtual` seen since the last statement/brace boundary: marks the next
-  // matched declarator as a virtual method.
-  bool saw_virtual = false;
   while (i < n) {
     const Token& tok = t[i];
-    if (tok.punct(";") || tok.punct("{") || tok.punct("}")) {
-      saw_virtual = false;
-    }
-    if (tok.ident("virtual")) {
-      saw_virtual = true;
+    if (tok.ident("virtual")) {  // a specifier, not part of the declarator
       ++i;
       continue;
     }
@@ -636,8 +581,6 @@ inline void parse_structure(const std::vector<Token>& t,
       RawFunction rf;
       const std::size_t resume = try_function(t, i, prefix(), in_class, rf);
       if (resume != npos) {
-        rf.facts.is_virtual = rf.facts.is_virtual || saw_virtual;
-        saw_virtual = false;
         fns.push_back(std::move(rf));
         i = resume;
         continue;
@@ -969,7 +912,7 @@ inline void scan_body(const std::vector<Token>& t, RawFunction& rf,
             callee = t[m - 4].text + "::" + callee;
           }
         }
-        f.calls.push_back({tok.line, receiver, callee, 0, {}, m});
+        f.calls.push_back({tok.line, receiver, callee, {}, m});
       }
       continue;
     }
@@ -999,48 +942,13 @@ inline void scan_body(const std::vector<Token>& t, RawFunction& rf,
 // v4 flow analysis: CFG + dataflow facts per function.
 // ---------------------------------------------------------------------------
 
-/// ColumnarState bitmask columns, indexed by word (lane >> 6). `decisions`
-/// is the engine-owned decide-pass buffer with the same layout.
-inline bool word_column(std::string_view s) {
-  return s == "active" || s == "decisions";
-}
-
-/// ColumnarState per-node columns, indexed by lane id.
-inline bool element_column(std::string_view s) {
-  return s == "probability" || s == "phase" || s == "aux" || s == "rng";
-}
-
-inline bool known_column(std::string_view s) {
-  return word_column(s) || element_column(s);
-}
-
-/// Assignment-flavored operator: the preceding subscript is a write.
-inline bool write_op(const Token& tok) {
-  if (tok.kind != TokKind::kPunct) return false;
-  const std::string& s = tok.text;
-  if (s == "=") return true;
-  return s.size() >= 2 && s.back() == '=' && s != "==" && s != "!=" &&
-         s != "<=" && s != ">=";
-}
-
 /// The v4 per-function flow pass. Builds the CFG over the body and derives
-/// everything the three path-sensitive rules consume:
+/// everything the two path-sensitive rules consume:
 ///
 ///   * per-site must-held locksets on every call site and data access
 ///     (lockset-path), seeded from the declarator's FCR_REQUIRES locks —
 ///     `decl_lock_count` says how many of facts.locks came from the
 ///     declarator rather than scan_body's whole-extent collection;
-///   * columnar column accesses with their index class (lane / word / whole
-///     / other), inferred from loop induction variables: a for bound
-///     mentioning node_count enumerates lanes, one mentioning a word
-///     column's size() enumerates words, countr_zero marks word-sweep bit
-///     extraction, and `w * 64 + b` reconstitutes a lane id;
-///   * RNG draw sites with their gate (max taint of enclosing non-loop
-///     guards: 0 round-uniform, 1 active-mask-derived, 2 lane-varying);
-///   * the per-node draw-count interval [draw_min, draw_max]: each lane
-///     loop's body is re-solved as a sub-CFG under the CountRange lattice,
-///     and path-dependent counts, draws in non-lane loops, and lane-varying
-///     gates become PurityIssues;
 ///   * definite-init hazards: a must-initialized dataflow over container
 ///     locals and in-function sized receivers, flagging subscript/back/
 ///     front reads on paths where no resize/assign/reserve dominates.
@@ -1076,305 +984,6 @@ inline void analyze_flow(const std::vector<Token>& t, RawFunction& rf,
   };
   for (CallSite& c : f.calls) c.held = held_for(c.tok);
   for (Access& a : f.accesses) a.held = held_for(a.tok);
-
-  // --- index-variable classification ---
-  std::set<std::string> lane_vars, word_vars, bit_vars, mask_vars;
-  auto first_ident = [&](cfg::Span s) -> std::string {
-    for (std::size_t m = s.lo; m < s.hi && m < t.size(); ++m) {
-      if (t[m].kind == TokKind::kIdent && !keyword(t[m].text)) {
-        return t[m].text;
-      }
-    }
-    return {};
-  };
-  auto span_mentions = [&](cfg::Span s, auto&& pred) {
-    for (std::size_t m = s.lo; m < s.hi && m < t.size(); ++m) {
-      if (t[m].kind == TokKind::kIdent &&
-          pred(std::string_view(t[m].text))) {
-        return true;
-      }
-    }
-    return false;
-  };
-  for (const cfg::Loop& L : g.loops) {
-    if (L.kind != cfg::Guard::kFor) continue;
-    const std::string var = first_ident(L.cond);
-    if (var.empty()) continue;
-    const bool lane_bound = span_mentions(
-        L.cond, [](std::string_view s) { return s == "node_count"; });
-    const bool word_bound =
-        span_mentions(L.cond,
-                      [](std::string_view s) { return word_column(s); }) &&
-        span_mentions(L.cond, [](std::string_view s) { return s == "size"; });
-    if (lane_bound) {
-      lane_vars.insert(var);
-    } else if (word_bound) {
-      word_vars.insert(var);
-    }
-  }
-  // Derived index variables: `b = countr_zero(bits)` is a bit offset,
-  // `id = w * 64 + b` reconstitutes a lane, a copy of a word column's word
-  // (`bits = active[w]`) is an active-derived mask. Two passes so the
-  // derivations may appear in any order.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t m = lo; m + 1 < hi; ++m) {
-      if (t[m].kind != TokKind::kIdent || keyword(t[m].text) ||
-          !t[m + 1].punct("=")) {
-        continue;
-      }
-      std::size_t e = m + 2;
-      int depth = 0;
-      while (e < hi) {
-        const Token& te = t[e];
-        if (te.punct("(") || te.punct("[") || te.punct("{")) ++depth;
-        else if (te.punct(")") || te.punct("]") || te.punct("}")) --depth;
-        else if (depth <= 0 && te.punct(";")) break;
-        ++e;
-      }
-      const cfg::Span rhs{m + 2, e};
-      const std::string& name = t[m].text;
-      if (span_mentions(rhs, [](std::string_view s) {
-            return s == "countr_zero";
-          })) {
-        bit_vars.insert(name);
-      } else if (span_mentions(rhs,
-                               [&](std::string_view s) {
-                                 return word_vars.count(std::string(s)) != 0;
-                               }) &&
-                 span_mentions(rhs, [&](std::string_view s) {
-                   return bit_vars.count(std::string(s)) != 0;
-                 })) {
-        lane_vars.insert(name);
-      } else if (span_mentions(rhs, [](std::string_view s) {
-                   return word_column(s);
-                 })) {
-        mask_vars.insert(name);
-      }
-    }
-  }
-  auto classify_index = [&](std::size_t open, std::size_t close) -> int {
-    bool lane = false, word = false, other = false, shifted = false;
-    for (std::size_t m = open + 1; m < close; ++m) {
-      const Token& tok = t[m];
-      if (tok.punct(">>")) shifted = true;
-      if (tok.kind != TokKind::kIdent || keyword(tok.text)) continue;
-      const std::string& id = tok.text;
-      if (lane_vars.count(id) != 0 || bit_vars.count(id) != 0) {
-        lane = true;
-      } else if (word_vars.count(id) != 0) {
-        word = true;
-      } else if (id == "std" || id == "size_t" || is_upper(id[0])) {
-        continue;  // namespace / cast-target type names are index-neutral
-      } else {
-        other = true;
-      }
-    }
-    if (other) return ColAccess::kOther;
-    if (lane) return shifted ? ColAccess::kWord : ColAccess::kLane;
-    if (word) return ColAccess::kWord;
-    return ColAccess::kOther;  // constant or empty index
-  };
-
-  // --- columnar column accesses ---
-  for (std::size_t m = lo; m < hi; ++m) {
-    const Token& tok = t[m];
-    if (tok.kind != TokKind::kIdent || !known_column(tok.text)) continue;
-    const Token* nx = m + 1 < hi ? &t[m + 1] : nullptr;
-    if (nx != nullptr && nx->punct("[")) {
-      const std::size_t close = match_forward(t, m + 1, "[", "]");
-      if (close == npos || close >= hi) continue;
-      const int index_class = classify_index(m + 1, close);
-      const int write = close + 1 < hi && write_op(t[close + 1]) ? 1 : 0;
-      f.cols.push_back({tok.line, tok.text, write, index_class});
-      continue;
-    }
-    if (nx != nullptr && (nx->punct(".") || nx->punct("->")) && m + 3 < hi &&
-        t[m + 2].kind == TokKind::kIdent && t[m + 3].punct("(")) {
-      const std::string& op = t[m + 2].text;
-      if (op == "assign" || op == "fill" || op == "resize" || op == "clear") {
-        f.cols.push_back({tok.line, tok.text, 1, ColAccess::kWhole});
-      }
-    }
-  }
-  for (const cfg::Loop& L : g.loops) {
-    if (L.kind != cfg::Guard::kRangeFor) continue;
-    for (std::size_t m = L.cond.lo; m < L.cond.hi && m < t.size(); ++m) {
-      if (t[m].kind == TokKind::kIdent && known_column(t[m].text)) {
-        f.cols.push_back({t[m].line, t[m].text, 0, ColAccess::kWhole});
-        break;
-      }
-    }
-  }
-
-  // --- gates ---
-  auto guard_taint = [&](const cfg::Guard& gd) -> int {
-    if (gd.is_loop()) return 0;
-    if (span_mentions(gd.cond, [&](std::string_view s) {
-          const std::string id(s);
-          return lane_vars.count(id) != 0 || bit_vars.count(id) != 0 ||
-                 element_column(s);
-        })) {
-      return 2;
-    }
-    if (span_mentions(gd.cond, [&](std::string_view s) {
-          const std::string id(s);
-          return word_vars.count(id) != 0 || mask_vars.count(id) != 0 ||
-                 word_column(s);
-        })) {
-      return 1;
-    }
-    return 0;
-  };
-  auto gate_of = [&](std::size_t tok) -> int {
-    const std::size_t b = tok == npos ? npos : g.block_of(tok);
-    if (b == npos) return 0;
-    int gate = 0;
-    for (const std::size_t gid : g.blocks[b].guards) {
-      gate = std::max(gate, guard_taint(g.guard_table[gid]));
-    }
-    return gate;
-  };
-
-  // --- RNG draw sites ---
-  std::map<std::string, std::string> typed;
-  collect_typed_decls(t, rf.params_begin, rf.params_end, typed);
-  collect_typed_decls(t, lo, hi, typed);
-  std::vector<std::size_t> draw_toks;
-  for (CallSite& c : f.calls) {
-    c.gate = gate_of(c.tok);
-    if (c.callee == "split") continue;  // const: does not advance the stream
-    const auto ty = typed.find(c.receiver);
-    const bool rng_recv = c.receiver == "rng" || c.receiver == "rng_" ||
-                          (ty != typed.end() && ty->second == "Rng");
-    if (!rng_recv) continue;
-    f.draws.push_back({c.line, c.gate});
-    draw_toks.push_back(c.tok);
-  }
-
-  // --- per-lane draw-count certification ---
-  auto is_lane_loop = [&](const cfg::Loop& L) -> bool {
-    if (L.kind == cfg::Guard::kFor) {
-      const std::string var = first_ident(L.cond);
-      return !var.empty() && lane_vars.count(var) != 0;
-    }
-    if (L.kind == cfg::Guard::kWhile || L.kind == cfg::Guard::kDoWhile) {
-      // Word-sweep enumeration: the body extracts lane bits via countr_zero.
-      return span_mentions(L.body, [](std::string_view s) {
-        return s == "countr_zero";
-      });
-    }
-    return false;
-  };
-  auto is_word_loop = [&](const cfg::Loop& L) -> bool {
-    if (L.kind != cfg::Guard::kFor) return false;
-    const std::string var = first_ident(L.cond);
-    return !var.empty() && word_vars.count(var) != 0;
-  };
-  auto count_draws_in = [&](const cfg::Cfg& sub,
-                            const std::vector<std::size_t>& toks) {
-    const auto in = dataflow::solve_forward<dataflow::CountRange>(
-        sub, dataflow::CountRange{},
-        [&](std::size_t b, const dataflow::CountRange& fact) {
-          int n = 0;
-          for (const cfg::Event& e : sub.blocks[b].events) {
-            if (e.kind != cfg::Event::kSpan) continue;
-            for (const std::size_t d : toks) {
-              if (e.span.contains(d)) ++n;
-            }
-          }
-          return dataflow::count_add(fact, n);
-        },
-        dataflow::count_join);
-    return in[sub.exit].has_value() ? *in[sub.exit] : dataflow::CountRange{};
-  };
-  auto add_interval = [&](int mn, int mx) {
-    f.draw_min = std::min(f.draw_min + mn, dataflow::kCountSaturated);
-    f.draw_max = std::min(f.draw_max + mx, dataflow::kCountSaturated);
-  };
-
-  std::map<std::size_t, std::vector<std::size_t>> by_loop;
-  std::vector<std::size_t> free_draws;
-  for (const std::size_t d : draw_toks) {
-    if (d == npos) continue;
-    const std::size_t li = g.innermost_loop(d);
-    if (li != npos) {
-      by_loop[li].push_back(d);
-      continue;
-    }
-    bool in_cond = false;
-    for (const cfg::Loop& L : g.loops) {
-      if (L.cond.contains(d)) {
-        in_cond = true;
-        break;
-      }
-    }
-    if (in_cond) {
-      f.purity.push_back({t[d].line, "RNG draw inside a loop condition"});
-      f.draw_max = dataflow::kCountSaturated;
-      continue;
-    }
-    free_draws.push_back(d);
-  }
-  for (const auto& [li, toks] : by_loop) {
-    const cfg::Loop& L = g.loops[li];
-    const int line = t[toks.front()].line;
-    if (!is_lane_loop(L)) {
-      f.purity.push_back(
-          {line,
-           "RNG draw inside a loop that does not enumerate lanes — the "
-           "per-node draw count is not certifiable"});
-      add_interval(0, dataflow::kCountSaturated);
-      continue;
-    }
-    // Every loop surrounding a lane loop must enumerate words, or lanes may
-    // be visited more than once per round.
-    for (std::size_t outer = g.enclosing_loop(li); outer != npos;
-         outer = g.enclosing_loop(outer)) {
-      if (!is_word_loop(g.loops[outer])) {
-        f.purity.push_back(
-            {line,
-             "lane draw loop nested inside a non-word loop — lanes may be "
-             "visited more than once per round"});
-        break;
-      }
-    }
-    const cfg::Cfg sub = cfg::build_cfg(t, L.body.lo, L.body.hi);
-    const dataflow::CountRange per_iter = count_draws_in(sub, toks);
-    if (per_iter.min != per_iter.max) {
-      f.purity.push_back({line,
-                          "per-node RNG draw count is path-dependent (" +
-                              std::to_string(per_iter.min) + ".." +
-                              std::to_string(per_iter.max) +
-                              " draws per lane)"});
-    }
-    // A round-uniform or active-derived gate outside the loop keeps lanes
-    // in sync (all draw or none draw) but makes the round conditional; a
-    // lane-varying gate breaks batching outright.
-    const std::size_t db = g.block_of(toks.front());
-    bool outer_gated = false;
-    if (db != npos) {
-      for (const std::size_t gid : g.blocks[db].guards) {
-        const cfg::Guard& gd = g.guard_table[gid];
-        if (gd.is_loop() || gd.cond.lo >= L.body.lo) continue;
-        outer_gated = true;
-        if (guard_taint(gd) == 2) {
-          f.purity.push_back(
-              {line, "lane draw loop gated on a lane-varying condition"});
-        }
-      }
-    }
-    add_interval(outer_gated ? 0 : per_iter.min, per_iter.max);
-  }
-  if (!free_draws.empty()) {
-    const dataflow::CountRange fr = count_draws_in(g, free_draws);
-    if (fr.min != fr.max) {
-      f.purity.push_back({t[free_draws.front()].line,
-                          "RNG draw count outside loops is path-dependent (" +
-                              std::to_string(fr.min) + ".." +
-                              std::to_string(fr.max) + " draws)"});
-    }
-    add_interval(fr.min, fr.max);
-  }
 
   // --- definite-init ---
   std::set<std::string> params;
@@ -1638,9 +1247,6 @@ inline ProgramModel build_program_model(const std::vector<TreeFile>& files) {
             locks.push_back(l);
           }
         }
-        // An in-class declaration carries the virtual/override marker the
-        // out-of-line definition lacks.
-        if (fn.is_virtual) pm.fns[it->second].facts.is_virtual = true;
       } else {
         pm.fns.push_back({fn, f.path, {}, {}});
       }
@@ -1650,7 +1256,7 @@ inline ProgramModel build_program_model(const std::vector<TreeFile>& files) {
     pm.by_name[pm.fns[i].facts.name].push_back(i);
   }
   // Call-edge resolution, recorded per call site so the path-sensitive
-  // rules can reason about an individual site's lockset and gate.
+  // rules can reason about an individual site's lockset.
   for (ProgramFunction& fn : pm.fns) {
     const std::set<std::string>& types = pm.file_types[fn.file];
     std::set<std::size_t> edges;
@@ -1898,8 +1504,7 @@ inline std::vector<Finding> check_rng_lineage(
 /// steady-state round loop — the per-node virtual engine
 /// (ExecutionWorkspace::run_rounds) or the columnar SoA engine
 /// (ExecutionWorkspace::run_rounds_columnar), which pulls in every
-/// columnar_decide/columnar_feedback implementation through the call
-/// graph. Growth of a receiver that is reserve()d / clear()ed somewhere
+/// decide/columnar_feedback implementation through the call graph. Growth of a receiver that is reserve()d / clear()ed somewhere
 /// in the tree is the blessed warm-capacity idiom and stays legal.
 inline std::vector<Finding> check_hot_path_alloc(
     const ProgramModel& pm, const std::vector<TreeFile>& files) {
@@ -2011,226 +1616,6 @@ inline std::vector<Finding> check_error_provenance(
 // v4 path-sensitive rules.
 // ---------------------------------------------------------------------------
 
-/// One certified (or refused) columnar decision kernel, as emitted into
-/// kernel_manifest.json for the SIMD-lanes follow-on to consume.
-struct KernelRecord {
-  std::string qualified;
-  std::string file;
-  int line = 1;
-  std::vector<std::string> columns_read;
-  std::vector<std::string> columns_written;
-  /// Per-lane generator invocations per round, [min, max]; min < max means
-  /// a round-uniform gate (all lanes draw or none do), which is still
-  /// batchable. kCountSaturated means "unbounded".
-  int draw_min = 0;
-  int draw_max = 0;
-  bool pure = true;
-  /// The dispatch bit the engine's SIMD route keys on: pure AND a bounded
-  /// per-lane draw budget. Mirrored by the hand-maintained allowlist in
-  /// src/sim/kernel_certificates.hpp; the fcrlint_kernel_manifest ctest
-  /// asserts the two stay in agreement.
-  bool simd_eligible = false;
-  std::vector<std::string> reasons;  ///< why not pure (even when allowed)
-};
-
-/// Findings from every interprocedural rule plus the kernel certificates.
-struct TreeAnalysis {
-  std::vector<Finding> findings;
-  std::vector<KernelRecord> kernels;
-};
-
-namespace pmdetail {
-
-/// True when `cls_last` is — or transitively derives from — `base_last`.
-inline bool derives_from(const ProgramModel& pm, const std::string& cls_last,
-                         const std::string& base_last) {
-  std::vector<std::string> work = {cls_last};
-  std::set<std::string> seen;
-  while (!work.empty()) {
-    const std::string cur = work.back();
-    work.pop_back();
-    if (!seen.insert(cur).second) continue;
-    if (cur == base_last) return true;
-    const auto it = pm.bases.find(cur);
-    if (it == pm.bases.end()) continue;
-    for (const std::string& b : it->second) work.push_back(b);
-  }
-  return false;
-}
-
-inline const char* index_class_name(int c) {
-  switch (c) {
-    case ColAccess::kLane: return "lane-indexed";
-    case ColAccess::kWord: return "word-indexed";
-    case ColAccess::kWhole: return "whole-column";
-    default: return "arbitrarily-indexed";
-  }
-}
-
-/// Interprocedural draw totals: a function's own per-lane interval plus
-/// every call site's contribution (the hull over the site's overload set).
-/// Memoized; a recursive edge contributes nothing (its draws are already
-/// counted once at the cycle head).
-struct DrawTotals {
-  const ProgramModel& pm;
-  std::vector<int> state;  // 0 untouched, 1 visiting, 2 done
-  std::vector<dataflow::CountRange> memo;
-  explicit DrawTotals(const ProgramModel& m)
-      : pm(m), state(m.fns.size(), 0), memo(m.fns.size()) {}
-  dataflow::CountRange total(std::size_t i) {
-    if (state[i] == 2) return memo[i];
-    if (state[i] == 1) return {};
-    state[i] = 1;
-    const ProgramFunction& fn = pm.fns[i];
-    dataflow::CountRange r{fn.facts.draw_min, fn.facts.draw_max};
-    for (std::size_t ci = 0; ci < fn.facts.calls.size(); ++ci) {
-      const auto& targets =
-          ci < fn.callee_sites.size() ? fn.callee_sites[ci] : std::vector<std::size_t>{};
-      if (targets.empty()) continue;
-      dataflow::CountRange site{dataflow::kCountSaturated, 0};
-      for (const std::size_t tgt : targets) {
-        const dataflow::CountRange tr = total(tgt);
-        site.min = std::min(site.min, tr.min);
-        site.max = std::max(site.max, tr.max);
-      }
-      // A gated call may be skipped on some rounds: min drops to zero.
-      if (fn.facts.calls[ci].gate > 0) site.min = 0;
-      r.min = std::min(r.min + site.min, dataflow::kCountSaturated);
-      r.max = std::min(r.max + site.max, dataflow::kCountSaturated);
-    }
-    state[i] = 2;
-    memo[i] = r;
-    return r;
-  }
-};
-
-}  // namespace pmdetail
-
-/// lane-purity: certifies every ColumnarAlgorithm::columnar_decide override
-/// (and its transitive callees) for SIMD lane batching. A pure kernel may
-/// touch element columns only at the current lane, word columns only at the
-/// current word, may not take locks or reach virtual calls, and must draw a
-/// path-invariant number of per-lane RNG values. Emits one KernelRecord per
-/// override; violations also become findings unless allow-annotated (the
-/// manifest stays honest either way — an allowed kernel is still impure).
-inline TreeAnalysis check_lane_purity(const ProgramModel& pm,
-                                      const std::vector<TreeFile>& files) {
-  TreeAnalysis out;
-  std::vector<std::size_t> roots;
-  for (std::size_t i = 0; i < pm.fns.size(); ++i) {
-    const ProgramFunction& fn = pm.fns[i];
-    if (fn.facts.is_definition && fn.facts.name == "columnar_decide" &&
-        pmdetail::derives_from(pm, pmdetail::last_component(fn.facts.cls),
-                               "ColumnarAlgorithm")) {
-      roots.push_back(i);
-    }
-  }
-  pmdetail::DrawTotals totals(pm);
-  std::set<std::tuple<std::string, int, std::string>> emitted;
-  for (const std::size_t root : roots) {
-    KernelRecord rec;
-    rec.qualified = pm.fns[root].facts.qualified;
-    rec.file = pm.fns[root].file;
-    rec.line = pm.fns[root].facts.line;
-
-    // Kernel closure: the override plus everything it can reach.
-    std::vector<std::size_t> closure;
-    {
-      std::set<std::size_t> seen = {root};
-      std::vector<std::size_t> work = {root};
-      while (!work.empty()) {
-        const std::size_t cur = work.back();
-        work.pop_back();
-        closure.push_back(cur);
-        for (const std::size_t next : pm.fns[cur].callees) {
-          if (seen.insert(next).second) work.push_back(next);
-        }
-      }
-    }
-
-    std::set<std::string> cols_read, cols_written;
-    auto violate = [&](const std::string& file, int line,
-                       const std::string& why) {
-      rec.pure = false;
-      rec.reasons.push_back(why);
-      if (allowed_on_line(pmdetail::allows_of(files, file), "lane-purity",
-                          line)) {
-        return;
-      }
-      if (emitted.insert({file, line, why}).second) {
-        out.findings.push_back({file, line, "lane-purity", why});
-      }
-    };
-    for (const std::size_t i : closure) {
-      const ProgramFunction& fn = pm.fns[i];
-      const std::string in_kernel =
-          " (in kernel '" + rec.qualified + "' via '" + fn.facts.qualified +
-          "')";
-      if (i != root && fn.facts.is_virtual) {
-        violate(fn.file, fn.facts.line,
-                "virtual call target '" + fn.facts.qualified +
-                    "' reachable from a columnar decision kernel — lane "
-                    "batching cannot devirtualize it" + in_kernel);
-      }
-      for (const std::string& l : fn.facts.locks) {
-        violate(fn.file, fn.facts.line,
-                "'" + fn.facts.qualified + "' takes or requires lock '" + l +
-                    "' inside a columnar decision kernel" + in_kernel);
-      }
-      for (const ColAccess& c : fn.facts.cols) {
-        (c.write != 0 ? cols_written : cols_read).insert(c.column);
-        const bool word_col = extdetail::word_column(c.column);
-        const int want = word_col ? ColAccess::kWord : ColAccess::kLane;
-        if (c.index_class != want) {
-          violate(fn.file, c.line,
-                  std::string(c.write != 0 ? "write to" : "read of") +
-                      " column '" + c.column + "' is " +
-                      pmdetail::index_class_name(c.index_class) +
-                      " — a lane-pure kernel must touch it only at the "
-                      "current " + (word_col ? "word" : "lane") + in_kernel);
-        }
-      }
-      for (const PurityIssue& p : fn.facts.purity) {
-        violate(fn.file, p.line, p.what + in_kernel);
-      }
-      for (std::size_t ci = 0; ci < fn.facts.calls.size(); ++ci) {
-        const CallSite& c = fn.facts.calls[ci];
-        if (c.gate != 2 || ci >= fn.callee_sites.size()) continue;
-        for (const std::size_t tgt : fn.callee_sites[ci]) {
-          const dataflow::CountRange tr = totals.total(tgt);
-          if (tr.max > 0) {
-            violate(fn.file, c.line,
-                    "call to drawing function '" +
-                        pm.fns[tgt].facts.qualified +
-                        "' is gated on a lane-varying condition — lanes "
-                        "would consume different RNG counts" + in_kernel);
-            break;
-          }
-        }
-      }
-    }
-    const dataflow::CountRange dr = totals.total(root);
-    rec.draw_min = dr.min;
-    rec.draw_max = dr.max;
-    if (dr.max >= dataflow::kCountSaturated) {
-      // Unbounded consumption is its own impurity even if every individual
-      // site looked benign.
-      violate(rec.file, rec.line,
-              "per-lane RNG consumption of kernel '" + rec.qualified +
-                  "' is unbounded — lane batching needs a fixed draw budget");
-    }
-    rec.columns_read.assign(cols_read.begin(), cols_read.end());
-    rec.columns_written.assign(cols_written.begin(), cols_written.end());
-    rec.simd_eligible = rec.pure && rec.draw_max < dataflow::kCountSaturated;
-    out.kernels.push_back(std::move(rec));
-  }
-  std::sort(out.kernels.begin(), out.kernels.end(),
-            [](const KernelRecord& a, const KernelRecord& b) {
-              return a.qualified < b.qualified;
-            });
-  return out;
-}
-
 /// definite-init: a container subscripted (or back()/front()/at()-read) in a
 /// function that sizes it on only SOME paths to that read. Flags the flow
 /// hazards computed per function by the must-initialized dataflow.
@@ -2333,13 +1718,13 @@ inline std::vector<Finding> check_lockset_path(
   return out;
 }
 
-/// Runs every interprocedural rule (four v3, three v4) over the tree's src/
-/// files and certifies the columnar kernels.
-inline TreeAnalysis analyze_tree(const std::vector<TreeFile>& files) {
+/// Runs every interprocedural rule (four v3, two v4) over the tree's src/
+/// files.
+inline std::vector<Finding> analyze_tree(const std::vector<TreeFile>& files) {
   const ProgramModel pm = build_program_model(files);
-  TreeAnalysis out = check_lane_purity(pm, files);
+  std::vector<Finding> out;
   auto append = [&out](std::vector<Finding> v) {
-    out.findings.insert(out.findings.end(), v.begin(), v.end());
+    out.insert(out.end(), v.begin(), v.end());
   };
   append(check_lockset(pm, files));
   append(check_rng_lineage(pm, files));
@@ -2348,12 +1733,6 @@ inline TreeAnalysis analyze_tree(const std::vector<TreeFile>& files) {
   append(check_definite_init(pm, files));
   append(check_lockset_path(pm, files));
   return out;
-}
-
-/// Compatibility wrapper: findings only.
-inline std::vector<Finding> check_model_rules(
-    const std::vector<TreeFile>& files) {
-  return analyze_tree(files).findings;
 }
 
 }  // namespace fcrlint::model

@@ -963,63 +963,42 @@ inline std::vector<Finding> lint_file(const std::string& path,
   return detail::run_file_rules(detail::prepare(path, content));
 }
 
-/// The tree verdict plus the lane-purity kernel certificates (the payload
-/// of kernel_manifest.json).
-struct TreeResult {
-  std::vector<Finding> findings;
-  std::vector<model::KernelRecord> kernels;
-};
-
 /// Combines per-file artifacts into the tree verdict: cached per-file
-/// findings plus the cross-file analyses (include cycles, the seven
+/// findings plus the cross-file analyses (include cycles, the six
 /// interprocedural model rules). Findings are sorted by (file, line, rule).
-inline TreeResult finalize_tree_full(const std::vector<FileArtifacts>& files) {
-  TreeResult out;
+inline std::vector<Finding> finalize_tree(
+    const std::vector<FileArtifacts>& files) {
+  std::vector<Finding> out;
   for (const FileArtifacts& f : files) {
-    out.findings.insert(out.findings.end(), f.findings.begin(),
-                        f.findings.end());
+    out.insert(out.end(), f.findings.begin(), f.findings.end());
   }
   const std::vector<Finding> cycles = detail::check_include_cycles(files);
-  out.findings.insert(out.findings.end(), cycles.begin(), cycles.end());
+  out.insert(out.end(), cycles.begin(), cycles.end());
   std::vector<model::TreeFile> tree;
   tree.reserve(files.size());
   for (const FileArtifacts& f : files) {
     if (!f.has_model) continue;
     tree.push_back({f.path, &f.model, &f.allows});
   }
-  model::TreeAnalysis ta = model::analyze_tree(tree);
-  out.findings.insert(out.findings.end(), ta.findings.begin(),
-                      ta.findings.end());
-  out.kernels = std::move(ta.kernels);
-  std::sort(out.findings.begin(), out.findings.end(),
-            [](const Finding& a, const Finding& b) {
-              if (a.file != b.file) return a.file < b.file;
-              if (a.line != b.line) return a.line < b.line;
-              if (a.rule != b.rule) return a.rule < b.rule;
-              return a.message < b.message;
-            });
+  const std::vector<Finding> interproc = model::analyze_tree(tree);
+  out.insert(out.end(), interproc.begin(), interproc.end());
+  std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
+    if (a.file != b.file) return a.file < b.file;
+    if (a.line != b.line) return a.line < b.line;
+    if (a.rule != b.rule) return a.rule < b.rule;
+    return a.message < b.message;
+  });
   return out;
 }
 
-/// Findings-only wrapper around finalize_tree_full.
-inline std::vector<Finding> finalize_tree(
-    const std::vector<FileArtifacts>& files) {
-  return finalize_tree_full(files).findings;
-}
-
 /// Runs the per-file rules on every input plus the cross-file analyses.
-inline TreeResult lint_tree_full(const std::vector<FileInput>& files) {
+inline std::vector<Finding> lint_tree(const std::vector<FileInput>& files) {
   std::vector<FileArtifacts> artifacts;
   artifacts.reserve(files.size());
   for (const FileInput& f : files) {
     artifacts.push_back(prepare_artifacts(f.path, f.content));
   }
-  return finalize_tree_full(artifacts);
-}
-
-/// Findings-only wrapper around lint_tree_full.
-inline std::vector<Finding> lint_tree(const std::vector<FileInput>& files) {
-  return lint_tree_full(files).findings;
+  return finalize_tree(artifacts);
 }
 
 }  // namespace fcrlint
