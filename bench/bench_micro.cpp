@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark): throughput of the hot paths that
-// dominate experiment wall-clock — SINR round resolution, spatial-grid
-// queries, link-class partitioning, and the RNG.
+// dominate experiment wall-clock — SINR round resolution, deployment
+// set-up, spatial-grid queries, link-class partitioning, and the RNG.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -13,7 +14,9 @@
 #include "core/fading_cr.hpp"
 #include "core/link_classes.hpp"
 #include "deploy/generators.hpp"
+#include "fabric/spec.hpp"
 #include "geom/grid.hpp"
+#include "geom/hull.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_runner.hpp"
 #include "sim/runner.hpp"
@@ -137,6 +140,61 @@ void BM_GridNearest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridNearest)->Arg(256)->Arg(4096);
+
+void BM_DeploymentFactory(benchmark::State& state) {
+  // fcrsim's default deployment factory (uniform square, side 2 sqrt(n),
+  // normalized): one draw and two Deployment constructors, each of which
+  // computes the shortest and the longest link.
+  fabric::SweepSpec spec;
+  spec.n = static_cast<std::size_t>(state.range(0));
+  const DeploymentFactory deploy = fabric::make_factories(spec).deploy;
+  Rng rng(12345);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(deploy(rng).max_link());
+  }
+}
+BENCHMARK(BM_DeploymentFactory)->Arg(1024)->Arg(4096);
+
+void BM_MinPairwise(benchmark::State& state) {
+  // Grid build plus the certified half-stencil closest-pair sweep.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Deployment dep = make_uniform(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(min_pairwise_distance(dep.positions()));
+  }
+  state.counters["certified"] =
+      SpatialGrid(dep.positions()).closest_pair_sweep().certified ? 1.0 : 0.0;
+}
+BENCHMARK(BM_MinPairwise)->Arg(4096);
+
+void BM_MinPairwiseNearest(benchmark::State& state) {
+  // The in-process reference for BM_MinPairwise: grid build plus one
+  // nearest_distance query per point (the loop min_pairwise_distance
+  // falls back to when the sweep is not certified). BM_MinPairwise / this
+  // is the closest-pair ratio scripts/perf_compare.py gates.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Deployment dep = make_uniform(n);
+  const std::vector<Vec2>& points = dep.positions();
+  for (auto _ : state) {
+    const SpatialGrid grid(points);
+    double best = std::numeric_limits<double>::infinity();
+    for (NodeId id = 0; id < points.size(); ++id) {
+      best = std::min(best, *grid.nearest_distance(points[id], id));
+    }
+    benchmark::DoNotOptimize(best);
+  }
+}
+BENCHMARK(BM_MinPairwiseNearest)->Arg(4096);
+
+void BM_Diameter(benchmark::State& state) {
+  // Octagon prefilter, monotone-chain hull and rotating calipers.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Deployment dep = make_uniform(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(diameter(dep.positions()));
+  }
+}
+BENCHMARK(BM_Diameter)->Arg(4096);
 
 void BM_LinkClassPartition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

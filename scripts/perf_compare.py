@@ -15,6 +15,13 @@ machine:
                  (fast path vs the per-node virtual reference)
   decide ratio = BM_DecideKernelLanes/1024 / BM_DecideKernelGeneric/1024
                  (auto-dispatched decide kernel vs the generic target)
+  closest pair = BM_MinPairwise/4096 / BM_MinPairwiseNearest/4096
+                 (half-stencil sweep vs one nearest query per point)
+
+Each benchmark's time is the median of its repetition rows
+(perf_smoke.sh runs 5). The script prints each gated benchmark's spread,
+MAD / median, and refuses (exit 2) a baseline whose spread exceeds the
+gate itself: a ratio measured that noisily cannot show a 25% regression.
 
 A ratio growing by more than THRESHOLD (25%) over the baseline means the
 optimised path got slower relative to its in-process reference — a real
@@ -23,7 +30,8 @@ existed simply skip that check with a note, so adding benches never
 breaks the gate retroactively.
 
 Usage: scripts/perf_compare.py [--suite resolve|campaign] FRESH.json BASELINE.json
-Exit codes: 0 ok, 1 regression, 2 usage/malformed input.
+Exit codes: 0 ok, 1 regression, 2 usage/malformed input or a baseline
+too noisy to gate against.
 """
 
 import json
@@ -45,6 +53,11 @@ RATIOS = [
     # lane code regressed relative to the portable code measured in the
     # same process.
     ("decide-kernel", "BM_DecideKernelLanes/1024", "BM_DecideKernelGeneric/1024"),
+    # Deployment set-up: grid build plus the certified half-stencil
+    # closest-pair sweep vs the same grid build plus one nearest query per
+    # point. Growth past the baseline means the sweep regressed relative
+    # to the per-point loop it replaced (and falls back to).
+    ("closest-pair", "BM_MinPairwise/4096", "BM_MinPairwiseNearest/4096"),
 ]
 
 # Campaign fabric (BENCH_campaign.json, written by perf_smoke.sh): the same
@@ -64,6 +77,7 @@ SUITES = {
 
 
 def load_times(path):
+    """Context and {name: [real_time of each repetition]} of one JSON."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -72,18 +86,45 @@ def load_times(path):
         sys.exit(2)
     times = {}
     for bench in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) if repetitions were used.
+        # Aggregate rows (mean/median/stddev) are recomputed from the
+        # repetition rows below.
         if bench.get("run_type") == "aggregate":
             continue
-        times[bench["name"]] = float(bench["real_time"])
+        times.setdefault(bench["name"], []).append(float(bench["real_time"]))
     return doc.get("context", {}), times
 
 
+def median(xs):
+    s = sorted(xs)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
+
+
+def spread(xs):
+    """MAD / median of the repetitions (0 for a single row)."""
+    m = median(xs)
+    return median([abs(x - m) for x in xs]) / m if m else 0.0
+
+
 def ratio(times, num, den):
-    """Ratio num/den, or None if either benchmark is absent."""
+    """Ratio of the medians num/den, or None if either is absent."""
     if num not in times or den not in times:
         return None
-    return times[num] / times[den]
+    return median(times[num]) / median(times[den])
+
+
+def report_spreads(label, times, names):
+    """Prints MAD/median per benchmark; returns the names over the gate."""
+    noisy = []
+    for name in names:
+        if name not in times:
+            continue
+        s = spread(times[name])
+        print(f"perf_compare: {label} {name}: {len(times[name])} rep(s), "
+              f"MAD/median {s:.3f}")
+        if s > THRESHOLD - 1:
+            noisy.append(name)
+    return noisy
 
 
 def main(argv):
@@ -106,6 +147,15 @@ def main(argv):
     if build_type != "Release":
         print(f"perf_compare: fresh run was built as '{build_type}', not "
               "Release — timings are not comparable", file=sys.stderr)
+        return 2
+
+    gated = sorted({name for _, num, den in SUITES[suite] for name in (num, den)})
+    report_spreads("fresh", fresh, gated)
+    noisy = report_spreads("baseline", base, gated)
+    if noisy:
+        print(f"perf_compare: baseline {args[1]} is too noisy to gate against "
+              f"(MAD/median above {THRESHOLD - 1:.2f}): {', '.join(noisy)}; "
+              "re-record it on a quiet host", file=sys.stderr)
         return 2
 
     failed = False

@@ -26,7 +26,9 @@
 #
 # TIMING GATE: absolute timings are machine-dependent and stay
 # informational here; CI regression-gates on machine-independent RATIOS
-# via scripts/perf_compare.py instead.
+# via scripts/perf_compare.py instead. Every benchmark runs 5 repetitions;
+# perf_compare.py gates the medians and rejects a baseline whose
+# repetitions spread wider than the gate.
 #
 # Usage: scripts/perf_smoke.sh [--build-dir DIR] [--out FILE]
 #          [--campaign-out FILE]
@@ -65,7 +67,8 @@ TMP="$(mktemp --suffix=.json)"
 trap 'rm -f "$TMP"' EXIT
 
 "$BIN" \
-  --benchmark_filter='BM_SinrResolve/|BM_BatchResolve/|BM_FullExecution|BM_Trial|BM_DecideKernel|BM_ResolveMask' \
+  --benchmark_filter='BM_SinrResolve/|BM_BatchResolve/|BM_FullExecution|BM_Trial|BM_DecideKernel|BM_ResolveMask|BM_DeploymentFactory|BM_MinPairwise|BM_Diameter' \
+  --benchmark_repetitions=5 \
   --benchmark_out="$TMP" \
   --benchmark_out_format=json
 
@@ -107,13 +110,18 @@ fi
 mv "$TMP" "$OUT"
 trap - EXIT
 
-# Non-gating speedup report: batch vs reference scan per n, the
-# incremental-instrumentation gain on the trial benches, the fast path vs
-# the per-node virtual reference, and the auto-dispatched decide kernel vs
-# the same kernel pinned to the generic target.
+# Non-gating speedup report (medians of the repetitions): batch vs
+# reference scan per n, the incremental-instrumentation gain on the trial
+# benches, the fast path vs the per-node virtual reference, the
+# auto-dispatched decide kernel vs the same kernel pinned to the generic
+# target, and the closest-pair sweep vs the per-point nearest loop.
 python3 - "$OUT" <<'EOF' || true
-import json, sys
-runs = {b["name"]: b["real_time"] for b in json.load(open(sys.argv[1]))["benchmarks"]}
+import json, statistics, sys
+reps = {}
+for b in json.load(open(sys.argv[1]))["benchmarks"]:
+    if b.get("run_type") != "aggregate":
+        reps.setdefault(b["name"], []).append(b["real_time"])
+runs = {name: statistics.median(ts) for name, ts in reps.items()}
 for name, t in sorted(runs.items()):
     if not name.startswith("BM_SinrResolve/"):
         continue
@@ -144,6 +152,11 @@ for n in (8, 16, 64, 256, 1024):
     if virt and fast:
         print(f"perf_smoke: execution n={n}: reference {virt/1e6:.3f} ms, "
               f"fast {fast/1e6:.3f} ms, speedup {virt/fast:.2f}x")
+sweep = runs.get("BM_MinPairwise/4096")
+loop = runs.get("BM_MinPairwiseNearest/4096")
+if sweep and loop:
+    print(f"perf_smoke: closest pair n=4096: nearest loop {loop/1e3:.1f} us, "
+          f"sweep {sweep/1e3:.1f} us, speedup {loop/sweep:.2f}x")
 EOF
 
 # Campaign fabric artifact (docs/ROBUSTNESS.md §6): wall-clock the same

@@ -1,5 +1,6 @@
 #include "deploy/deployment.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -24,6 +25,10 @@ std::uint64_t next_generation() {
 double min_pairwise_distance(std::span<const Vec2> points) {
   if (points.size() < 2) return 0.0;
   const SpatialGrid grid(points);
+  // sqrt is monotone and correctly rounded, so the sqrt of the smallest
+  // dist_sq is the smallest distance, bit for bit.
+  const SpatialGrid::PairSweep sweep = grid.closest_pair_sweep();
+  if (sweep.certified) return std::sqrt(sweep.best_sq);
   double best = std::numeric_limits<double>::infinity();
   for (NodeId id = 0; id < points.size(); ++id) {
     const auto d = grid.nearest_distance(points[id], id);
@@ -38,11 +43,18 @@ Deployment::Deployment(std::vector<Vec2> positions)
       generation_(next_generation()) {
   FCR_ENSURE_ARG(!positions_->empty(),
                  "deployment must contain at least one node");
+  for (std::size_t id = 0; id < positions_->size(); ++id) {
+    const Vec2 p = (*positions_)[id];
+    FCR_ENSURE_ARG(std::isfinite(p.x) && std::isfinite(p.y),
+                   "node " << id << " has a non-finite position " << p);
+  }
   if (positions_->size() >= 2) {
+    max_link_ = diameter(*positions_);
+    FCR_ENSURE_ARG(std::isfinite(max_link_),
+                   "longest link overflows a double (coordinates too large)");
     min_link_ = min_pairwise_distance(*positions_);
     FCR_ENSURE_ARG(min_link_ > 0.0,
                    "deployment contains duplicate positions (shortest link 0)");
-    max_link_ = diameter(*positions_);
   }
 }
 

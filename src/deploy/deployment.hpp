@@ -27,8 +27,9 @@ namespace fcr {
 /// SAME position buffer. Rescaling creates a new buffer and a new token.
 class Deployment {
  public:
-  /// Requires at least one node and no duplicate positions (a duplicate
-  /// would make the shortest link 0 and R undefined).
+  /// Requires at least one node, finite coordinates, no duplicate
+  /// positions (a duplicate would make the shortest link 0 and R
+  /// undefined) and a longest link that does not overflow a double.
   explicit Deployment(std::vector<Vec2> positions);
 
   std::size_t size() const { return positions_->size(); }
@@ -68,8 +69,10 @@ class Deployment {
   std::uint64_t generation_ = 0;
 };
 
-/// Computes the shortest pairwise distance via a spatial grid (O(n) expected
-/// after the O(n) build). Exposed for tests and generators.
+/// Computes the shortest pairwise distance via a spatial grid: one
+/// certified closest-pair sweep, O(n) expected after the O(n) build, with
+/// one nearest-neighbor query per point as the fallback. Exposed for tests
+/// and generators.
 double min_pairwise_distance(std::span<const Vec2> points);
 
 }  // namespace fcr

@@ -19,7 +19,7 @@
 // Geometry.
 #include "geom/ascii_plot.hpp"    // terminal scatter plots
 #include "geom/bbox.hpp"
-#include "geom/grid.hpp"          // spatial hash grid
+#include "geom/grid.hpp"          // spatial grid
 #include "geom/hull.hpp"          // convex hull / diameter
 #include "geom/point.hpp"
 

@@ -1,4 +1,4 @@
-// Uniform spatial hash grid over a (subset of a) point set.
+// Uniform spatial grid over a (subset of a) point set.
 //
 // The simulator and the paper's analysis instrumentation need three spatial
 // queries, all supported here:
@@ -7,20 +7,22 @@
 //   * points within a disk (reception candidates, packing checks),
 //   * points within an annulus (the exponential annuli A_t^i(u) of the
 //     good-node definition).
+// A fourth pass, `closest_pair_sweep()`, finds the deployment's shortest
+// link in one sweep over neighbouring cells.
 //
-// The cell size defaults to extent/ceil(sqrt(n)) so the grid has O(n) cells
-// regardless of how stretched the deployment is (e.g. exponential chains with
-// R = 2^20); all queries are then worst-case O(n) and expected O(k + 1) for
-// outputs of size k on uniform deployments.
+// The cell size is extent/ceil(sqrt(m)) and the lattice starts at the
+// bounding box's lower corner, so the occupied cell rectangle has at most
+// (ceil(sqrt(m)) + 1)^2 cells regardless of how stretched or offset the
+// deployment is (e.g. exponential chains with R = 2^20); all queries are
+// then worst-case O(m) and expected O(k + 1) for outputs of size k on
+// uniform deployments.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "geom/bbox.hpp"
 #include "geom/point.hpp"
 
 namespace fcr {
@@ -30,26 +32,25 @@ using NodeId = std::uint32_t;
 
 inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 
-/// Immutable spatial index over a set of (id, position) pairs.
+/// Spatial index over a set of (id, position) pairs; shrinks via remove().
 class SpatialGrid {
  public:
-  /// Indexes `subset` (ids into `points`). Pass `cell_size <= 0` to let the
-  /// grid choose extent/ceil(sqrt(m)) automatically (m = subset size).
-  SpatialGrid(std::span<const Vec2> points, std::span<const NodeId> subset,
-              double cell_size = 0.0);
+  /// Indexes `subset` (ids into `points`). Throws std::invalid_argument on
+  /// an out-of-range id, a non-finite coordinate, or a bounding box whose
+  /// extent overflows.
+  SpatialGrid(std::span<const Vec2> points, std::span<const NodeId> subset);
 
   /// Indexes every point.
-  explicit SpatialGrid(std::span<const Vec2> points, double cell_size = 0.0);
+  explicit SpatialGrid(std::span<const Vec2> points);
 
   std::size_t size() const { return count_; }
-  double cell_size() const { return cell_; }
 
   /// Removes the entry (id, pos) — `pos` MUST be the position the id was
   /// indexed under (it selects the cell). O(cell occupancy), i.e. O(1)
-  /// expected: the entry is swap-erased within its cell bucket. Returns
-  /// false when no such entry is indexed. Cached cell bounds are NOT
-  /// shrunk, so queries after removals may scan a slightly larger ring
-  /// range; results are unaffected.
+  /// expected: the entry is swap-erased within its cell. Returns false
+  /// when no such entry is indexed. The cell rectangle is NOT shrunk, so
+  /// queries after removals may scan a slightly larger ring range; results
+  /// are unaffected.
   bool remove(NodeId id, Vec2 pos);
 
   /// Result of a nearest-neighbor query.
@@ -83,46 +84,58 @@ class SpatialGrid {
   std::size_t count_in_disk(Vec2 center, double radius,
                             NodeId exclude = kInvalidNode) const;
 
+  /// Result of closest_pair_sweep().
+  struct PairSweep {
+    /// Smallest dist_sq over pairs of indexed points in the same or
+    /// adjacent cells; +inf when there is no such pair.
+    double best_sq;
+    /// True when best_sq is provably the smallest dist_sq over ALL pairs.
+    bool certified;
+  };
+
+  /// Half-stencil sweep: each cell against itself and its forward
+  /// neighbours (x+1, y) and (x-1..x+1, y+1), so every pair in touching
+  /// cells is compared once. O(m) expected on uniform sets.
+  PairSweep closest_pair_sweep() const;
+
  private:
   struct Entry {
     NodeId id;
     Vec2 pos;
   };
 
-  using CellKey = std::uint64_t;
+  void build(std::span<const Vec2> points, std::span<const NodeId> subset);
 
-  void build(std::span<const Vec2> points, std::span<const NodeId> subset,
-             double cell_size);
+  /// Cell coordinate of `v` along one axis, clamped to [-1, cells]: a query
+  /// outside the rectangle behaves like one just past its edge, which keeps
+  /// every ring-distance bound valid and the integer conversion defined.
+  std::int64_t cell_coord(double v, double origin, std::int64_t cells) const;
+  std::int64_t cell_x(double x) const { return cell_coord(x, origin_.x, width_); }
+  std::int64_t cell_y(double y) const { return cell_coord(y, origin_.y, height_); }
 
-  CellKey key_of(Vec2 p) const;
-  std::int64_t cell_x(double x) const;
-  std::int64_t cell_y(double y) const;
-  static CellKey pack(std::int64_t cx, std::int64_t cy);
-
-  const std::vector<Entry>* cell_at(std::int64_t x, std::int64_t y) const;
-  std::vector<Entry>* mutable_cell_at(std::int64_t x, std::int64_t y);
+  /// Live entries of cell (x, y); empty outside the rectangle.
+  std::span<const Entry> cell_at(std::int64_t x, std::int64_t y) const;
 
   /// Visits entries in every cell within Chebyshev cell-ring `ring` of the
-  /// query cell; returns number of occupied cells visited.
+  /// query cell.
   template <typename Fn>
   void visit_ring(std::int64_t cx, std::int64_t cy, std::int64_t ring, Fn&& fn) const;
 
   template <typename Fn>
   void visit_disk(Vec2 center, double radius, Fn&& fn) const;
 
-  // Storage is dense (row-major over the occupied cell rectangle — pure
-  // index arithmetic per cell visit, rows contiguous) whenever the
-  // rectangle's area is proportionate to the population, which the
-  // automatic cell sizing guarantees. The hash map is the fallback for
-  // caller-chosen cell sizes that oversubdivide the extent.
-  bool dense_ = false;
+  // One flat array, counting-sorted by cell (row-major over the occupied
+  // cell rectangle); within a cell, entries keep insertion order. Cell c
+  // owns entries_[start_[c], start_[c + 1]); the first live_[c] of them
+  // are indexed, the rest were removed and have NaN positions.
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> start_;
+  std::vector<std::uint32_t> live_;
+  Vec2 origin_;
   std::int64_t width_ = 0;
-  std::vector<std::vector<Entry>> dense_cells_;
-  std::unordered_map<CellKey, std::vector<Entry>> cells_;
-  BBox bounds_;
+  std::int64_t height_ = 0;
   double cell_ = 1.0;
   std::size_t count_ = 0;
-  std::int64_t min_cx_ = 0, max_cx_ = 0, min_cy_ = 0, max_cy_ = 0;
 };
 
 }  // namespace fcr

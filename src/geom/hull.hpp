@@ -2,7 +2,10 @@
 //
 // A deployment's longest link (the paper's R numerator) is the diameter of
 // the point set; computing it pairwise is O(n^2), so we go through the hull
-// (Andrew's monotone chain) and rotating calipers: O(n log n).
+// (Andrew's monotone chain) and rotating calipers: O(n log n). diameter()
+// first drops, in O(n), every point strictly inside the octagon spanned by
+// the extreme points in x, y, x+y and x-y, so on spread-out sets only the
+// few points near the boundary are sorted.
 #pragma once
 
 #include <span>

@@ -5,40 +5,60 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "deploy/deployment.hpp"
 #include "deploy/generators.hpp"
+#include "geom/grid.hpp"
+#include "point_sets.hpp"
 #include "util/rng.hpp"
 
 namespace fcr {
 namespace {
 
-double brute_min_link(const std::vector<Vec2>& pts) {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    for (std::size_t j = i + 1; j < pts.size(); ++j) {
-      best = std::min(best, dist(pts[i], pts[j]));
-    }
-  }
-  return best;
-}
+using point_sets::brute_max_sq;
+using point_sets::brute_min_sq;
 
-double brute_max_link(const std::vector<Vec2>& pts) {
-  double best = 0.0;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    for (std::size_t j = i + 1; j < pts.size(); ++j) {
-      best = std::max(best, dist(pts[i], pts[j]));
-    }
-  }
-  return best;
+/// min_link and max_link must be the EXACT doubles sqrt(min dist_sq) and
+/// sqrt(max dist_sq) over all pairs: no tolerance.
+void expect_exact_link_stats(const Deployment& dep, const std::string& what) {
+  if (dep.size() < 2) return;
+  EXPECT_EQ(dep.min_link(), std::sqrt(brute_min_sq(dep.positions()))) << what;
+  EXPECT_EQ(dep.max_link(), std::sqrt(brute_max_sq(dep.positions()))) << what;
 }
 
 TEST(Deployment, LinkStatisticsMatchBruteForce) {
+  // Every generator kind, raw and normalized.
   Rng rng(100);
-  for (int trial = 0; trial < 10; ++trial) {
-    const Deployment dep = uniform_square(60, 25.0, rng);
-    EXPECT_NEAR(dep.min_link(), brute_min_link(dep.positions()), 1e-9);
-    EXPECT_NEAR(dep.max_link(), brute_max_link(dep.positions()), 1e-9);
+  const std::size_t sizes[] = {2, 3, 5, 17, 64, 257, 1024};
+  for (const std::size_t n : sizes) {
+    const double side = 2.0 * std::sqrt(static_cast<double>(n));
+    std::size_t rows = 1;
+    for (std::size_t r = 1; r * r <= n; ++r) {
+      if (n % r == 0) rows = r;
+    }
+    const std::size_t levels = std::min<std::size_t>(4, n / 2);
+    std::vector<std::pair<std::string, Deployment>> deps;
+    deps.emplace_back("uniform_square", uniform_square(n, side, rng));
+    deps.emplace_back("uniform_disk", uniform_disk(n, side / 2.0, rng));
+    deps.emplace_back("perturbed_grid",
+                      perturbed_grid(rows, n / rows, 1.0, 0.2, rng));
+    deps.emplace_back("thomas_clusters",
+                      thomas_clusters(n, 4, side / 40.0, side, rng));
+    deps.emplace_back("exponential_chain", exponential_chain(n, 0x1p20, rng));
+    deps.emplace_back("two_clusters", two_clusters(n, 100.0, 2.0, rng));
+    deps.emplace_back("ring", ring(n, side, 0.001, rng));
+    deps.emplace_back("multi_scale", multi_scale(levels, n / levels, rng));
+    deps.emplace_back("poisson_field",
+                      poisson_field(1.0, std::sqrt(static_cast<double>(n)), rng));
+    if (n == 2) deps.emplace_back("single_pair", single_pair(0.3));
+    for (const auto& [kind, dep] : deps) {
+      const std::string what = kind + " n=" + std::to_string(n);
+      expect_exact_link_stats(dep, what);
+      expect_exact_link_stats(dep.normalized(), what + " normalized");
+    }
   }
 }
 
@@ -53,6 +73,38 @@ TEST(Deployment, SingleNodeHasTrivialStatistics) {
 TEST(Deployment, RejectsEmptyAndDuplicates) {
   EXPECT_THROW(Deployment({}), std::invalid_argument);
   EXPECT_THROW(Deployment({{1, 1}, {1, 1}}), std::invalid_argument);
+
+  // Non-finite coordinates are rejected before any spatial index is built,
+  // naming the node — also for a single node.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<Vec2>> non_finite = {
+      {{0, 0}, {nan, 1}}, {{nan, nan}}, {{0, 0}, {1, 1}, {inf, 0}},
+      {{0, -inf}, {1, 1}}};
+  for (const auto& pts : non_finite) {
+    try {
+      const Deployment dep(pts);
+      ADD_FAILURE() << "accepted a non-finite position";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("node "), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // Finite coordinates whose longest link overflows a double.
+  for (const auto& pts : std::vector<std::vector<Vec2>>{
+           {{1e308, 0}, {-1e308, 0}}, {{0, 1e308}, {0, -1e308}, {0, 0}}}) {
+    try {
+      const Deployment dep(pts);
+      ADD_FAILURE() << "accepted an overflowing longest link";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("longest link overflows"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Deployment, PositionAccessIsBoundsChecked) {
@@ -202,9 +254,32 @@ TEST(Generators, DeterministicUnderSeed) {
 
 TEST(MinPairwiseDistance, AgreesWithBruteForce) {
   Rng rng(112);
-  const auto dep = uniform_square(80, 9.0, rng);
-  EXPECT_NEAR(min_pairwise_distance(dep.positions()),
-              brute_min_link(dep.positions()), 1e-12);
+  std::vector<point_sets::NamedSet> sets = point_sets::hard_point_sets();
+  sets.push_back({"uniform 80", uniform_square(80, 9.0, rng).positions()});
+  std::size_t certified = 0;
+  std::size_t fallbacks = 0;
+  for (const auto& [name, pts] : sets) {
+    const double want_sq = brute_min_sq(pts);
+    EXPECT_EQ(min_pairwise_distance(pts), std::sqrt(want_sq)) << name;
+    // The sweep only sees pairs in touching cells, so it can only
+    // overestimate; a certified value is the exact minimum.
+    const SpatialGrid::PairSweep sweep = SpatialGrid(pts).closest_pair_sweep();
+    EXPECT_GE(sweep.best_sq, want_sq) << name;
+    if (sweep.certified) {
+      EXPECT_EQ(sweep.best_sq, want_sq) << name;
+      ++certified;
+    } else {
+      ++fallbacks;
+    }
+  }
+  // Both paths ran: a square lattice's shortest link (its spacing) is
+  // longer than the cell (extent / ceil(sqrt(n)) = 15/16), so its
+  // certificate must fail.
+  EXPECT_GT(certified, 0u);
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_FALSE(SpatialGrid(point_sets::lattice(16, 16, 1.0))
+                   .closest_pair_sweep()
+                   .certified);
 }
 
 }  // namespace

@@ -105,6 +105,14 @@ TEST(DeploymentIo, RejectsMalformedInput) {
     std::istringstream in("x,y\n1,2\n1,2\n");  // duplicate position
     EXPECT_THROW(read_deployment_csv(in), std::invalid_argument);
   }
+  // strtod parses these; the deployment must reject them, not hang or
+  // overflow while indexing them.
+  for (const char* body : {"x,y\n0,0\nnan,1\n", "x,y\ninf,0\n1,1\n",
+                           "x,y\n0,-inf\n", "x,y\n1e999,0\n0,0\n",
+                           "x,y\n1e308,0\n-1e308,0\n"}) {
+    std::istringstream in(body);
+    EXPECT_THROW(read_deployment_csv(in), std::invalid_argument) << body;
+  }
 }
 
 // ---------------------------------------------------- extra-good machinery

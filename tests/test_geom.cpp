@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "geom/bbox.hpp"
 #include "geom/hull.hpp"
 #include "geom/point.hpp"
+#include "point_sets.hpp"
 #include "util/rng.hpp"
 
 namespace fcr {
@@ -108,20 +111,34 @@ TEST(Diameter, KnownCases) {
 }
 
 TEST(Diameter, MatchesBruteForceOnRandomSets) {
+  // The exact double sqrt(max dist_sq): the octagon prefilter must never
+  // drop a point the hull needs.
   Rng rng(77);
+  std::vector<point_sets::NamedSet> sets = point_sets::hard_point_sets();
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<Vec2> pts;
     const std::size_t n = 3 + rng.uniform_int(std::uint64_t{60});
     for (std::size_t i = 0; i < n; ++i) {
       pts.push_back({rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)});
     }
-    double brute = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        brute = std::max(brute, dist(pts[i], pts[j]));
+    sets.push_back({"random trial " + std::to_string(trial), pts});
+  }
+  sets.push_back({"uniform 4096", point_sets::uniform(4096, 128.0, rng)});
+  // Points on the octagon's own edges: a diamond of lattice points plus
+  // its interior.
+  {
+    std::vector<Vec2> diamond;
+    for (int x = -10; x <= 10; ++x) {
+      for (int y = -10; y <= 10; ++y) {
+        if (std::abs(x) + std::abs(y) <= 10) {
+          diamond.push_back({static_cast<double>(x), static_cast<double>(y)});
+        }
       }
     }
-    EXPECT_NEAR(diameter(pts), brute, 1e-9) << "trial " << trial;
+    sets.push_back({"lattice diamond", diamond});
+  }
+  for (const auto& [name, pts] : sets) {
+    EXPECT_EQ(diameter(pts), std::sqrt(point_sets::brute_max_sq(pts))) << name;
   }
 }
 

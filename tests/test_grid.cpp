@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "geom/grid.hpp"
@@ -180,15 +181,6 @@ TEST(Grid, SubsetQueriesIgnoreUnindexedPoints) {
   EXPECT_EQ(grid.count_in_disk({0, 0}, 10.0), 2u);
 }
 
-TEST(Grid, ExplicitCellSizeIsHonored) {
-  const std::vector<Vec2> pts = {{0, 0}, {10, 10}};
-  const SpatialGrid grid(pts, 2.5);
-  EXPECT_DOUBLE_EQ(grid.cell_size(), 2.5);
-  const auto nn = grid.nearest({9.0, 9.0});
-  ASSERT_TRUE(nn.has_value());
-  EXPECT_EQ(nn->id, 1u);
-}
-
 TEST(Grid, CoincidentPointsAreAllFound) {
   const std::vector<Vec2> pts = {{1, 1}, {1, 1}, {1, 1}};
   const SpatialGrid grid(pts);
@@ -201,6 +193,119 @@ TEST(Grid, CoincidentPointsAreAllFound) {
 TEST(Grid, OutOfRangeSubsetIdThrows) {
   const std::vector<Vec2> pts = {{0, 0}};
   EXPECT_THROW(SpatialGrid(pts, std::vector<NodeId>{5}), std::invalid_argument);
+}
+
+TEST(Grid, NonFiniteCoordinatesThrow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(SpatialGrid(std::vector<Vec2>{{0, 0}, {nan, 1}}),
+               std::invalid_argument);
+  EXPECT_THROW(SpatialGrid(std::vector<Vec2>{{0, 0}, {1, -inf}}),
+               std::invalid_argument);
+  // Finite coordinates whose bounding box extent overflows.
+  EXPECT_THROW(SpatialGrid(std::vector<Vec2>{{1e308, 0}, {-1e308, 0}}),
+               std::invalid_argument);
+  // Only indexed points are checked.
+  const std::vector<Vec2> pts = {{0, 0}, {nan, nan}, {1, 1}};
+  EXPECT_EQ(SpatialGrid(pts, std::vector<NodeId>{0, 2}).size(), 2u);
+}
+
+/// Smallest-id nearest neighbour among `alive`, by brute force.
+SpatialGrid::Nearest brute_nearest_alive(const std::vector<Vec2>& pts,
+                                         const std::vector<bool>& alive,
+                                         Vec2 q, NodeId exclude) {
+  SpatialGrid::Nearest best{kInvalidNode, std::numeric_limits<double>::infinity()};
+  double best_sq = std::numeric_limits<double>::infinity();
+  for (NodeId i = 0; i < pts.size(); ++i) {
+    if (!alive[i] || i == exclude) continue;
+    const double d2 = dist_sq(q, pts[i]);
+    if (d2 < best_sq) {
+      best_sq = d2;
+      best = {i, std::sqrt(d2)};
+    }
+  }
+  return best;
+}
+
+TEST(Grid, FlatLayoutQueriesMatchBruteForceAfterRemovals) {
+  // Crowded cells (a tight cluster), exact distance ties (a lattice) and an
+  // offset far larger than the spacing, then interleaved swap-erases; every
+  // query, the closest-pair sweep included, is checked against brute force
+  // over the survivors.
+  Rng rng(6);
+  std::vector<Vec2> pts;
+  for (int i = 0; i < 150; ++i) {
+    pts.push_back({1e6 + rng.uniform(0.0, 60.0), -1e6 + rng.uniform(0.0, 60.0)});
+  }
+  for (int i = 0; i < 100; ++i) {
+    pts.push_back({1e6 + 30.0 + rng.uniform(0.0, 0.5),
+                   -1e6 + 30.0 + rng.uniform(0.0, 0.5)});
+  }
+  for (int x = 0; x < 10; ++x) {
+    for (int y = 0; y < 10; ++y) {
+      pts.push_back({1e6 + 4.0 * x, -1e6 + 4.0 * y});
+    }
+  }
+  SpatialGrid grid(pts);
+  std::vector<bool> alive(pts.size(), true);
+  std::vector<NodeId> order(pts.size());
+  std::iota(order.begin(), order.end(), NodeId{0});
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.uniform_int(std::uint64_t{i})]);
+  }
+
+  std::size_t removed = 0;
+  for (int phase = 0; phase < 4; ++phase) {
+    for (std::size_t k = 0; k < 80; ++k, ++removed) {
+      const NodeId id = order[removed];
+      ASSERT_TRUE(grid.remove(id, pts[id]));
+      EXPECT_FALSE(grid.remove(id, pts[id]));
+      alive[id] = false;
+    }
+    ASSERT_EQ(grid.size(), pts.size() - removed);
+
+    // The pair sweep skips removed entries: never below the survivors'
+    // minimum, and equal to it when certified.
+    double min_sq = std::numeric_limits<double>::infinity();
+    for (NodeId i = 0; i < pts.size(); ++i) {
+      for (NodeId j = i + 1; j < pts.size(); ++j) {
+        if (alive[i] && alive[j]) min_sq = std::min(min_sq, dist_sq(pts[i], pts[j]));
+      }
+    }
+    const SpatialGrid::PairSweep sweep = grid.closest_pair_sweep();
+    EXPECT_GE(sweep.best_sq, min_sq) << "phase " << phase;
+    if (sweep.certified) {
+      EXPECT_EQ(sweep.best_sq, min_sq) << "phase " << phase;
+    }
+
+    std::vector<std::pair<Vec2, NodeId>> queries;
+    for (NodeId id = 0; id < pts.size(); id += 3) queries.emplace_back(pts[id], id);
+    for (int i = 0; i < 20; ++i) {
+      queries.emplace_back(Vec2{1e6 + rng.uniform(-100.0, 160.0),
+                                -1e6 + rng.uniform(-100.0, 160.0)},
+                           kInvalidNode);
+    }
+    for (const auto& [q, exclude] : queries) {
+      const auto got = grid.nearest(q, exclude);
+      const SpatialGrid::Nearest want = brute_nearest_alive(pts, alive, q, exclude);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->id, want.id) << "phase " << phase;
+      EXPECT_EQ(got->distance, want.distance) << "phase " << phase;
+      for (const double r : {0.3, 2.0, 4.0, 25.0}) {
+        std::size_t disk = 0;
+        std::size_t annulus = 0;
+        for (NodeId i = 0; i < pts.size(); ++i) {
+          if (!alive[i] || i == exclude) continue;
+          const double d2 = dist_sq(q, pts[i]);
+          if (d2 <= r * r) ++disk;
+          if (d2 > (r / 2) * (r / 2) && d2 <= r * r) ++annulus;
+        }
+        EXPECT_EQ(grid.count_in_disk(q, r, exclude), disk) << "r " << r;
+        EXPECT_EQ(grid.count_in_annulus(q, r / 2, r, exclude), annulus)
+            << "r " << r;
+      }
+    }
+  }
 }
 
 }  // namespace

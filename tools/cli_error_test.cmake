@@ -32,6 +32,12 @@ endfunction()
 expect_cli_error(missing_deployment_file io "check the path"
   --deployment-file ${WORKDIR}/definitely_missing_deployment.csv --trials 2)
 
+# strtod parses "nan"; the deployment must reject it on one line instead of
+# hanging in the spatial index.
+file(WRITE ${WORKDIR}/cli_nan_deployment.csv "x,y\n0,0\nnan,1\n2,2\n")
+expect_cli_error(nan_deployment_file config "non-finite"
+  --deployment-file ${WORKDIR}/cli_nan_deployment.csv --trials 2)
+
 expect_cli_error(resume_without_checkpoint config "--help"
   --n 16 --trials 2 --resume)
 
