@@ -16,9 +16,8 @@
 //     to a clean run.
 //   * QUARANTINE — a trial that fails max_attempts times is excluded from
 //     the aggregate and reported, instead of wedging the campaign.
-//   * COOPERATIVE WATCHDOG — a per-trial round budget, enforced as the
-//     engine's round bound, and a wall-clock deadline polled by the
-//     engine's stop_when hook; a tripped deadline is a kTimeout
+//   * ROUND-BUDGET WATCHDOG — a per-trial round budget, enforced as the
+//     engine's round bound; a trial that reaches it unsolved is a kTimeout
 //     TrialFailure, retried like any other failure.
 //   * CHECKPOINT/RESUME — completed-trial outcomes are snapshotted every
 //     `checkpoint.every` completions via write-temp+rename, keyed by a
@@ -46,16 +45,12 @@ struct RetryPolicy {
   std::size_t max_attempts = 3;
 };
 
-/// Per-trial deadlines, enforced cooperatively by the engine round loop.
-/// 0 disables a limit. The round budget caps the engine's max_rounds, so
-/// it costs nothing until it fires: the run keeps the bitmask loop. The
-/// wall deadline is polled every 64 rounds through the engine's stop_when
-/// hook, which makes the run observed, so it takes the materializing
-/// loop. The wall clock never feeds the simulation — tripping it only
-/// converts the trial into a kTimeout failure.
+/// Per-trial deadline in rounds; 0 disables it. The budget caps the
+/// engine's max_rounds, so it costs nothing until it fires: the run keeps
+/// the bitmask loop. An unsolved trial that reaches it is a kTimeout
+/// failure.
 struct WatchdogPolicy {
   std::uint64_t round_budget = 0;  ///< rounds before the trial times out
-  double wall_seconds = 0.0;       ///< wall-clock budget per attempt
 };
 
 /// Periodic result snapshots. Empty path disables checkpointing.

@@ -1,7 +1,6 @@
 #include "sim/campaign_core.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 #include <utility>
 
@@ -29,7 +28,6 @@ std::optional<CheckpointEntry> run_trial_attempt(const TrialExecutor& executor,
       run_rng = run_rng.split(attempt);
     }
     const std::uint64_t round_budget = config.watchdog.round_budget;
-    const double wall_seconds = config.watchdog.wall_seconds;
     EngineConfig engine = config.trial.engine;
     // The round budget lowers the engine's own bound instead of adding a
     // stop_when hook, so the run stays unobserved and keeps the bitmask
@@ -38,34 +36,10 @@ std::optional<CheckpointEntry> run_trial_attempt(const TrialExecutor& executor,
     const bool budget_bounds =
         round_budget > 0 && round_budget <= engine.max_rounds;
     if (budget_bounds) engine.max_rounds = round_budget;
-    std::uint64_t wall_tripped_at = 0;  // 0: the wall deadline never fired
-    if (wall_seconds > 0.0) {
-      // Wall deadline is sampled once per attempt and only ever decides
-      // WHETHER the trial is abandoned, never what it computes. Its hook
-      // makes the run observed: it takes the materializing loop.
-      const auto deadline =
-          // FCRLINT_ALLOW(determinism): watchdog deadline, not sim input
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(wall_seconds));
-      const auto prev = engine.stop_when;
-      engine.stop_when = [&wall_tripped_at, prev,
-                          deadline](const RoundView& v) {
-        // Poll the clock every 64 rounds — cheap enough for tight loops.
-        if ((v.round & 63u) == 1u &&
-            // FCRLINT_ALLOW(determinism): watchdog poll, not sim input
-            std::chrono::steady_clock::now() >= deadline) {
-          wall_tripped_at = v.round;
-          return true;
-        }
-        return prev ? prev(v) : false;
-      };
-    }
     const RunResult r = executor.run(engine, deploy_rng, run_rng);
-    const bool budget_reached = budget_bounds && r.rounds == round_budget;
-    if (!r.solved && (wall_tripped_at > 0 || budget_reached)) {
+    if (!r.solved && budget_bounds && r.rounds == round_budget) {
       TrialProvenance prov;
-      prov.round = wall_tripped_at > 0 ? wall_tripped_at : round_budget;
+      prov.round = round_budget;
       throw Error(ErrorCategory::kTimeout,
                   "trial exceeded its watchdog deadline", std::move(prov));
     }

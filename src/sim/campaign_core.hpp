@@ -52,11 +52,9 @@ struct ShardOutcome {
 /// One deterministic attempt of trial `trial`. Attempt 1 uses exactly the
 /// run_trials streams master.split(2t)/split(2t+1); attempt a > 1
 /// re-splits those base streams by the attempt number. The campaign
-/// watchdog's round budget lowers the engine's max_rounds (the run stays
-/// on the bitmask loop); the wall deadline is polled through the engine's
-/// stop_when hook (the run takes the materializing loop). An unsolved
-/// trial that reaches the budget or trips the deadline is a kTimeout
-/// failure. On success returns the completed entry (attempts = `attempt`);
+/// watchdog's round budget lowers the engine's max_rounds, so the run
+/// stays on the bitmask loop; an unsolved trial that reaches the budget is
+/// a kTimeout failure. On success returns the completed entry (attempts = `attempt`);
 /// on failure fills `*failure` (trial/attempt/category/message) and
 /// returns nullopt. Never throws on trial failure.
 std::optional<CheckpointEntry> run_trial_attempt(const TrialExecutor& executor,

@@ -31,7 +31,7 @@ enum class ErrorCategory {
   kIo,        ///< file system: unreadable input, failed checkpoint write
   kChannel,   ///< channel construction or resolution failed
   kEngine,    ///< trial execution failed (contract violation, bad factory)
-  kTimeout,   ///< watchdog: trial exceeded its round budget or wall deadline
+  kTimeout,   ///< watchdog: trial exceeded its round budget
   kCorrupt,   ///< checkpoint failed validation (magic/hash/CRC/truncation)
   kInjected,  ///< a failpoint fired (testing only)
 };

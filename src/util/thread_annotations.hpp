@@ -33,7 +33,6 @@
 //   FCR_ACQUIRED_AFTER(m...)    lock-order edge between mutex members
 //   FCR_ASSERT_CAPABILITY(m)    runtime assertion that m is held
 //   FCR_RETURN_CAPABILITY(m)    function returns a reference to m
-//   FCR_NO_THREAD_SAFETY_ANALYSIS  opt a function out (last resort)
 #pragma once
 
 #include <condition_variable>
@@ -68,8 +67,6 @@
 #define FCR_ASSERT_CAPABILITY(m) \
   FCR_THREAD_ANNOTATION(assert_capability(m))
 #define FCR_RETURN_CAPABILITY(m) FCR_THREAD_ANNOTATION(lock_returned(m))
-#define FCR_NO_THREAD_SAFETY_ANALYSIS \
-  FCR_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace fcr {
 

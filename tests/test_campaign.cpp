@@ -435,25 +435,21 @@ TEST(Campaign, RoundBudgetWatchdogTimesOutAndQuarantines) {
   struct Case {
     std::uint64_t max_rounds;
     std::uint64_t round_budget;
-    double wall_seconds;
     std::uint64_t timeout_round;  // 0: a plain unsolved entry, no failure
   };
   const Case cases[] = {
-      {100000, 64, 0.0, 64},  // the watchdog must beat the engine bound
-      {64, 64, 0.0, 64},      // a budget equal to the bound still times out
-      {64, 65, 0.0, 0},       // one past the bound can never trip
-      {100000, 1, 0.0, 1},    // the smallest budget trips at round 1
-      {100000, 0, 1e-9, 1},   // a spent wall deadline trips at its first poll
+      {100000, 64, 64},  // the watchdog must beat the engine bound
+      {64, 64, 64},      // a budget equal to the bound still times out
+      {64, 65, 0},       // one past the bound can never trip
+      {100000, 1, 1},    // the smallest budget trips at round 1
   };
   const std::string ck = temp_path("watchdog.ckpt");
   for (const Case& c : cases) {
     SCOPED_TRACE("max_rounds " + std::to_string(c.max_rounds) +
-                 ", round_budget " + std::to_string(c.round_budget) +
-                 ", wall_seconds " + std::to_string(c.wall_seconds));
+                 ", round_budget " + std::to_string(c.round_budget));
     CampaignConfig cc = base_config(3);
     cc.trial.engine.max_rounds = c.max_rounds;
     cc.watchdog.round_budget = c.round_budget;
-    cc.watchdog.wall_seconds = c.wall_seconds;
     cc.retry.max_attempts = 2;
     cc.checkpoint.path = ck;
     // Two nodes that always transmit: never a solo round, never solved.
@@ -571,7 +567,6 @@ TEST(Campaign, WatchdogDoesNotPerturbHealthyTrials) {
 
   CampaignConfig guarded = cc;
   guarded.watchdog.round_budget = 15000;  // far beyond any completion
-  guarded.watchdog.wall_seconds = 3600.0;
   CampaignRunner guarded_runner(uniform_factory(32),
                                 sinr_channel_factory(3.0, 1.5, 1e-9),
                                 fading_factory(), guarded);

@@ -1,9 +1,8 @@
 // Unit tests for the fcrlint v2 engine: the token lexer
 // (tools/fcrlint_lexer.hpp), every rule in tools/fcrlint_rules.hpp — the six
 // ported ones plus layering, fp-accumulate, lock-discipline, rng-flow — the
-// allow-annotation grammar, the SARIF serializer, the unified-diff filter,
-// and end-to-end lint_file/lint_tree runs over the fixtures in
-// tests/fcrlint/.
+// allow-annotation grammar, the SARIF serializer, and end-to-end
+// lint_file/lint_tree runs over the fixtures in tests/fcrlint/.
 //
 // Test inputs that contain banned tokens are built as C++ string literals;
 // the lexer turns literals into opaque tokens, so this file itself stays
@@ -16,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "fcrlint_diff.hpp"
 #include "fcrlint_rules.hpp"
 #include "fcrlint_sarif.hpp"
 
@@ -825,43 +823,6 @@ TEST(FcrlintSarif, EmptyRunIsStillWellFormed) {
   const std::string sarif = fcrlint::to_sarif({});
   EXPECT_NE(sarif.find("\"results\": ["), std::string::npos);
   EXPECT_EQ(sarif.find("ruleId"), std::string::npos);
-}
-
-// --------------------------------------------------------------------- diff
-
-TEST(FcrlintDiff, ParsesHunksIntoChangedLineSets) {
-  const std::string diff =
-      "diff --git a/src/a.cpp b/src/a.cpp\n"
-      "index 1111111..2222222 100644\n"
-      "--- a/src/a.cpp\n"
-      "+++ b/src/a.cpp\n"
-      "@@ -10,2 +10,3 @@ void f()\n"
-      "+x\n+y\n+z\n"
-      "@@ -30 +40 @@\n"
-      "+w\n"
-      "diff --git a/src/gone.cpp b/src/gone.cpp\n"
-      "--- a/src/gone.cpp\n"
-      "+++ /dev/null\n"
-      "@@ -1,5 +0,0 @@\n"
-      "-dead\n";
-  const fcrlint::ChangedLines changed = fcrlint::parse_unified_diff(diff);
-  ASSERT_EQ(changed.size(), 1u);
-  const auto& lines = changed.at("src/a.cpp");
-  EXPECT_EQ(lines, (std::set<int>{10, 11, 12, 40}));
-}
-
-TEST(FcrlintDiff, FilterKeepsOnlyChangedFindings) {
-  const std::vector<Finding> all = {
-      {"src/a.cpp", 10, "determinism", "on a changed line"},
-      {"src/a.cpp", 13, "determinism", "outside the hunk"},
-      {"src/b.cpp", 10, "determinism", "file not in the diff"},
-  };
-  fcrlint::ChangedLines changed;
-  changed["src/a.cpp"] = {10, 11, 12};
-  const auto kept = fcrlint::filter_to_changed(all, changed);
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0].file, "src/a.cpp");
-  EXPECT_EQ(kept[0].line, 10);
 }
 
 // ------------------------------------------------------- fixtures on disk

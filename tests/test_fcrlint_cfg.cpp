@@ -1,8 +1,8 @@
 // Unit tests for the fcrlint v4 control-flow layer: per-function CFG
 // construction from token streams (tools/fcrlint_cfg.hpp), the generic
 // forward-dataflow worklist solver (tools/fcrlint_dataflow.hpp), and the
-// two tree rules built on them — definite-init and lockset-path — plus the
-// whole-repo run of both.
+// definite-init rule built on them. The whole-repo run of every rule is
+// ModelRealTree in test_fcrlint_model.cpp.
 //
 // Test inputs with banned tokens are fixture files or string literals; the
 // lexer turns literals into opaque tokens, so this file stays clean under
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -23,7 +22,6 @@ namespace {
 
 namespace cfg = fcrlint::cfg;
 namespace dataflow = fcrlint::dataflow;
-using fcrlint::FileInput;
 using fcrlint::Finding;
 using fcrlint::lex;
 using fcrlint::npos;
@@ -229,9 +227,8 @@ TEST(Dataflow, MustSetJoinIsPathIntersection) {
       g, dataflow::MustSet{},
       [&](std::size_t b, const dataflow::MustSet& fact) {
         dataflow::MustSet out = fact;
-        for (const cfg::Event& e : g.blocks[b].events) {
-          if (e.kind != cfg::Event::kSpan) continue;
-          for (std::size_t m = e.span.lo; m + 1 < e.span.hi; ++m) {
+        for (const cfg::Span& span : g.blocks[b].spans) {
+          for (std::size_t m = span.lo; m + 1 < span.hi; ++m) {
             if (t[m].kind == TokKind::kIdent && t[m + 1].punct("=")) {
               out.insert(t[m].text);
             }
@@ -264,9 +261,8 @@ TEST(Dataflow, MustSetJoinIsPathIntersection) {
       g2, dataflow::MustSet{},
       [&](std::size_t b, const dataflow::MustSet& fact) {
         dataflow::MustSet out = fact;
-        for (const cfg::Event& e : g2.blocks[b].events) {
-          if (e.kind != cfg::Event::kSpan) continue;
-          for (std::size_t m = e.span.lo; m + 1 < e.span.hi; ++m) {
+        for (const cfg::Span& span : g2.blocks[b].spans) {
+          for (std::size_t m = span.lo; m + 1 < span.hi; ++m) {
             if (t2[m].kind == TokKind::kIdent && t2[m + 1].punct("=")) {
               out.insert(t2[m].text);
             }
@@ -302,9 +298,8 @@ TEST(Dataflow, CountRangeHullsBranchesAndSaturatesLoops) {
         g, CountRange{},
         [&](std::size_t b, CountRange fact) {
           int n = 0;
-          for (const cfg::Event& e : g.blocks[b].events) {
-            if (e.kind != cfg::Event::kSpan) continue;
-            for (std::size_t m = e.span.lo; m < e.span.hi; ++m) {
+          for (const cfg::Span& span : g.blocks[b].spans) {
+            for (std::size_t m = span.lo; m < span.hi; ++m) {
               if (t[m].text == needle) ++n;
             }
           }
@@ -369,56 +364,6 @@ TEST(DefiniteInit, AllPathSizingAndGuardsStayQuiet) {
       fcrlint::lint_tree({{"src/sim/good_definite_init.cpp",
                            read_fixture("good_definite_init.cpp.txt")}});
   EXPECT_EQ(count_rule(findings, "definite-init"), 0);
-}
-
-// ------------------------------------------------------------ lockset-path
-
-TEST(LocksetPath, CatchesWhatWholeFunctionLocksetCannot) {
-  const std::string content = read_fixture("bad_lockset_path.cpp.txt");
-  const fcrlint::FileArtifacts art =
-      fcrlint::prepare_artifacts("src/sim/bad_lockset_path.cpp", content);
-  ASSERT_TRUE(art.has_model);
-  const std::vector<fcrlint::model::TreeFile> tree = {
-      {art.path, &art.model, &art.allows}};
-  const fcrlint::model::ProgramModel pm =
-      fcrlint::model::build_program_model(tree);
-
-  // Fails WITHOUT the rule: the v3 whole-function lockset sees the
-  // MutexLock somewhere in each function and stays silent.
-  EXPECT_TRUE(fcrlint::model::check_lockset(pm, tree).empty());
-
-  // Caught WITH it: the scope-closed read and the unlocked else-path write.
-  const auto findings = fcrlint::model::check_lockset_path(pm, tree);
-  EXPECT_EQ(lines_of(findings, "lockset-path"), (std::vector<int>{21, 30}));
-  for (const Finding& f : findings) {
-    EXPECT_NE(f.message.find("FCR_GUARDED_BY(m_)"), std::string::npos);
-  }
-}
-
-// ---------------------------------------------------------------- real tree
-
-TEST(RealTree, SrcIsCleanUnderDefiniteInitAndLocksetPath) {
-  namespace fs = std::filesystem;
-  const fs::path src_root = fs::path(FCRLINT_REPO_DIR) / "src";
-  ASSERT_TRUE(fs::exists(src_root));
-
-  std::vector<fcrlint::FileArtifacts> artifacts;
-  for (const auto& entry : fs::recursive_directory_iterator(src_root)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string ext = entry.path().extension().string();
-    if (ext != ".hpp" && ext != ".cpp") continue;
-    const std::string rel =
-        fs::relative(entry.path(), fs::path(FCRLINT_REPO_DIR))
-            .generic_string();
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    artifacts.push_back(fcrlint::prepare_artifacts(rel, os.str()));
-  }
-  const std::vector<Finding> findings = fcrlint::finalize_tree(artifacts);
-
-  EXPECT_EQ(count_rule(findings, "definite-init"), 0);
-  EXPECT_EQ(count_rule(findings, "lockset-path"), 0);
 }
 
 }  // namespace

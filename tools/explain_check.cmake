@@ -56,8 +56,8 @@ foreach(id ${rule_ids})
   endif()
   math(EXPR explained "${explained} + 1")
 endforeach()
-if(explained LESS 18)
-  fail("only ${explained} rules explained; expected all 18")
+if(explained LESS 16)
+  fail("only ${explained} rules explained; expected all 16")
 endif()
 
 # --- unknown rules are a diagnosed error, not a crash -------------------

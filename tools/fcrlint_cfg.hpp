@@ -1,17 +1,12 @@
 // fcrlint v4 — per-function control-flow graphs over the token stream.
 //
 // The v3 program model (fcrlint_model.hpp) sees function bodies as flat fact
-// bags: a lock held anywhere covers the whole body, an initialization
-// anywhere covers every read. That whole-extent view cannot certify the
-// properties the columnar SIMD port needs — branch-invariant RNG draw
-// counts, init-before-read on all paths, and per-site locksets — so v4
-// builds a real CFG from the same significant/non-preprocessor token ranges
-// the extractor already walks:
+// bags: an initialization anywhere covers every read. That whole-extent view
+// cannot prove init-before-read on all paths, so v4 builds a real CFG from
+// the same significant/non-preprocessor token ranges the extractor already
+// walks:
 //
-//   * blocks hold ordered events: code token spans plus lock acquire /
-//     release markers (fcr::MutexLock is scoped — its release is emitted at
-//     the close of the declaring compound and on every early exit that
-//     leaves it);
+//   * blocks hold their code token spans in execution order;
 //   * if / else and ternary chains become diamonds, while / for / range-for
 //     loops get a head block with a back edge, do-while bodies precede
 //     their condition (the body always runs once), switch lowers each
@@ -31,8 +26,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "fcrlint_core.hpp"
@@ -40,27 +33,12 @@
 
 namespace fcrlint::cfg {
 
-/// Bump when block structure, edge construction, or event emission changes;
-/// feeds the cache fingerprint so cached facts can never go stale silently.
-inline constexpr int kCfgRev = 1;
-
 /// Half-open token index range [lo, hi) into the filtered token vector.
 struct Span {
   std::size_t lo = 0;
   std::size_t hi = 0;
   bool contains(std::size_t tok) const { return tok >= lo && tok < hi; }
   bool empty() const { return hi <= lo; }
-};
-
-/// One ordered element of a block: a code span, or a lock transition. The
-/// lockset analysis replays events in order; span-only analyses skip the
-/// lock kinds.
-struct Event {
-  enum Kind : int { kSpan = 0, kAcquire = 1, kRelease = 2 };
-  int kind = kSpan;
-  Span span;         ///< kSpan: the code tokens
-  std::string lock;  ///< kAcquire / kRelease: the mutex name
-  int line = 1;      ///< source line of the event's first token
 };
 
 /// An enclosing control condition. Blocks carry the id stack of every guard
@@ -86,7 +64,7 @@ struct Guard {
 };
 
 struct Block {
-  std::vector<Event> events;
+  std::vector<Span> spans;  ///< code token spans, in execution order
   std::vector<std::size_t> succs;
   std::vector<std::size_t> guards;  ///< enclosing guard ids, outermost first
 };
@@ -111,8 +89,8 @@ struct Cfg {
   /// blocks (structural punctuation consumed by the builder).
   std::size_t block_of(std::size_t tok) const {
     for (std::size_t b = 0; b < blocks.size(); ++b) {
-      for (const Event& e : blocks[b].events) {
-        if (e.kind == Event::kSpan && e.span.contains(tok)) return b;
+      for (const Span& s : blocks[b].spans) {
+        if (s.contains(tok)) return b;
       }
     }
     return npos;
@@ -146,7 +124,6 @@ struct Cfg {
 namespace cfgdetail {
 
 using fcrlint::detail::match_forward;
-using fcrlint::detail::starts_with;
 
 class Builder {
  public:
@@ -157,26 +134,18 @@ class Builder {
     g_.entry = new_block();
     g_.exit = new_block();
     cur_ = g_.entry;
-    scopes_.push_back({});
     parse_stmts(lo, hi);
-    close_scope();
     if (cur_ != npos) edge(cur_, g_.exit);
     return std::move(g_);
   }
 
  private:
-  struct JumpCtx {
-    std::size_t target = 0;
-    std::size_t scope_depth = 0;  ///< scopes_ size at loop/switch entry
-  };
-
   const std::vector<Token>& t_;
   Cfg g_;
   std::size_t cur_ = 0;  ///< npos after a terminator (dead region follows)
   std::vector<std::size_t> guard_stack_;
-  std::vector<JumpCtx> break_ctx_;
-  std::vector<JumpCtx> continue_ctx_;
-  std::vector<std::vector<std::string>> scopes_;  ///< scoped locks per compound
+  std::vector<std::size_t> break_ctx_;     ///< innermost break target last
+  std::vector<std::size_t> continue_ctx_;  ///< innermost continue target last
 
   std::size_t new_block() {
     g_.blocks.push_back({});
@@ -198,98 +167,9 @@ class Builder {
     return cur_;
   }
 
-  void push_event(Event e) { g_.blocks[live()].events.push_back(std::move(e)); }
-
-  /// Emits release events for every scoped lock declared at scope depth
-  /// `from_depth` or deeper (used by break/continue and compound close).
-  void release_scopes(std::size_t from_depth, int line) {
-    if (cur_ == npos) return;
-    for (std::size_t d = scopes_.size(); d-- > from_depth;) {
-      for (std::size_t i = scopes_[d].size(); i-- > 0;) {
-        push_event({Event::kRelease, {}, scopes_[d][i], line});
-      }
-    }
-  }
-
-  void close_scope() {
-    if (scopes_.empty()) return;
-    if (cur_ != npos && !scopes_.back().empty()) {
-      release_scopes(scopes_.size() - 1, 1);
-    }
-    scopes_.pop_back();
-  }
-
-  /// The mutex argument of a lock construction / assertion: the last
-  /// identifier that is not `this` inside [b, e).
-  std::string mutex_arg(std::size_t b, std::size_t e) const {
-    std::string mx;
-    for (std::size_t a = b; a < e; ++a) {
-      if (t_[a].kind == TokKind::kIdent && t_[a].text != "this") {
-        mx = t_[a].text;
-      }
-    }
-    return mx;
-  }
-
-  /// Appends the code tokens [lo, hi) to the live block, splitting around
-  /// lock transitions: scoped `MutexLock l(mu)` declarations (released at
-  /// compound close), `.lock()` / `.unlock()` calls, and FCR_ASSERT-family
-  /// held assertions.
+  /// Appends the code tokens [lo, hi) to the live block.
   void append_code(std::size_t lo, std::size_t hi) {
-    if (lo >= hi) return;
-    std::size_t s = lo;
-    auto flush = [&](std::size_t upto) {
-      if (s < upto) push_event({Event::kSpan, {s, upto}, {}, t_[s].line});
-    };
-    for (std::size_t m = lo; m < hi; ++m) {
-      const Token& tok = t_[m];
-      if (tok.kind != TokKind::kIdent) continue;
-      if (tok.text == "MutexLock" && m + 2 < hi &&
-          t_[m + 1].kind == TokKind::kIdent &&
-          (t_[m + 2].punct("(") || t_[m + 2].punct("{"))) {
-        const bool paren = t_[m + 2].punct("(");
-        const std::size_t close =
-            match_forward(t_, m + 2, paren ? "(" : "{", paren ? ")" : "}");
-        if (close == npos || close >= hi) continue;
-        const std::string mx = mutex_arg(m + 3, close);
-        if (!mx.empty()) {
-          flush(m);
-          push_event({Event::kAcquire, {}, mx, tok.line});
-          scopes_.back().push_back(mx);
-          s = close + 1;
-        }
-        m = close;
-        continue;
-      }
-      if ((tok.text == "lock" || tok.text == "unlock") && m > lo &&
-          (t_[m - 1].punct(".") || t_[m - 1].punct("->")) && m + 1 < hi &&
-          t_[m + 1].punct("(") && m >= 2 &&
-          t_[m - 2].kind == TokKind::kIdent) {
-        flush(m - 2);
-        push_event({tok.text == "lock" ? Event::kAcquire : Event::kRelease,
-                    {},
-                    t_[m - 2].text,
-                    tok.line});
-        const std::size_t close = match_forward(t_, m + 1, "(", ")");
-        s = close == npos || close >= hi ? hi : close + 1;
-        m = s == hi ? hi - 1 : close;
-        continue;
-      }
-      if (starts_with(tok.text, "FCR_ASSERT") && m + 1 < hi &&
-          t_[m + 1].punct("(")) {
-        const std::size_t close = match_forward(t_, m + 1, "(", ")");
-        if (close == npos || close >= hi) continue;
-        const std::string mx = mutex_arg(m + 2, close);
-        if (!mx.empty()) {
-          flush(m);
-          push_event({Event::kAcquire, {}, mx, tok.line});
-          s = close + 1;
-        }
-        m = close;
-        continue;
-      }
-    }
-    flush(hi);
+    if (lo < hi) g_.blocks[live()].spans.push_back({lo, hi});
   }
 
   /// Appends an expression, lowering top-level ternaries into diamonds so a
@@ -380,9 +260,7 @@ class Builder {
         append_code(i, hi);
         return hi;
       }
-      scopes_.push_back({});
       parse_stmts(i + 1, close);
-      close_scope();
       return close + 1;
     }
     if (tok.ident("if")) return parse_if(i, hi);
@@ -403,8 +281,7 @@ class Builder {
       const auto& ctx = is_break ? break_ctx_ : continue_ctx_;
       if (cur_ != npos) {
         if (!ctx.empty()) {
-          release_scopes(ctx.back().scope_depth, tok.line);
-          edge(cur_, ctx.back().target);
+          edge(cur_, ctx.back());
         } else {
           // Sub-CFG of a loop body analyzed in isolation: both jumps end
           // the current iteration, i.e. flow to the sub-graph's exit.
@@ -486,8 +363,8 @@ class Builder {
     edge(head, after);
 
     guard_stack_.push_back(guard_id);
-    break_ctx_.push_back({after, scopes_.size()});
-    continue_ctx_.push_back({head, scopes_.size()});
+    break_ctx_.push_back(after);
+    continue_ctx_.push_back(head);
     cur_ = new_block();
     edge(head, cur_);
     const std::size_t body_lo = close + 1;
@@ -538,8 +415,8 @@ class Builder {
       const std::size_t after = new_block();
       edge(head, after);
       guard_stack_.push_back(guard_id);
-      break_ctx_.push_back({after, scopes_.size()});
-      continue_ctx_.push_back({head, scopes_.size()});
+      break_ctx_.push_back(after);
+      continue_ctx_.push_back(head);
       cur_ = new_block();
       edge(head, cur_);
       const std::size_t body_lo = close + 1;
@@ -569,8 +446,8 @@ class Builder {
 
     guard_stack_.push_back(guard_id);
     const std::size_t latch = new_block();  // increment block
-    break_ctx_.push_back({after, scopes_.size()});
-    continue_ctx_.push_back({latch, scopes_.size()});
+    break_ctx_.push_back(after);
+    continue_ctx_.push_back(latch);
     cur_ = new_block();
     edge(head, cur_);
     const std::size_t body_lo = close + 1;
@@ -601,8 +478,8 @@ class Builder {
     g_.guard_table.push_back({{0, 0}, Guard::kDoWhile});
     const std::size_t guard_id = g_.guard_table.size() - 1;
     guard_stack_.push_back(guard_id);
-    break_ctx_.push_back({after, scopes_.size()});
-    continue_ctx_.push_back({cond_blk, scopes_.size()});
+    break_ctx_.push_back(after);
+    continue_ctx_.push_back(cond_blk);
     cur_ = body;
     std::size_t resume = parse_stmt(body_lo, hi);
     if (cur_ != npos) edge(cur_, cond_blk);
@@ -656,8 +533,7 @@ class Builder {
     const std::size_t guard_id = g_.guard_table.size() - 1;
 
     guard_stack_.push_back(guard_id);
-    break_ctx_.push_back({after, scopes_.size()});
-    scopes_.push_back({});
+    break_ctx_.push_back(after);
     bool saw_default = false;
     cur_ = npos;  // nothing runs before the first label
     std::size_t m = body_open + 1;
@@ -685,7 +561,6 @@ class Builder {
       }
       m = parse_stmt(m, body_close);
     }
-    close_scope();
     break_ctx_.pop_back();
     guard_stack_.pop_back();
     if (cur_ != npos) edge(cur_, after);

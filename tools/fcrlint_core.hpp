@@ -5,12 +5,13 @@
 // (fcrlint_model.hpp) and the per-file rule engine (fcrlint_rules.hpp) can
 // share these types without a dependency cycle:
 //
-//   fcrlint_lexer.hpp   tokens
-//   fcrlint_core.hpp    Finding / FileInput / kRules / Allow   (this file)
-//   fcrlint_model.hpp   cross-TU program model + interprocedural rules
-//   fcrlint_rules.hpp   per-file rules + lint_file/lint_tree drivers
-//   fcrlint_cache.hpp   content-hash keyed artifact cache
-//   fcrlint_fix.hpp     mechanical --fix rewrites
+//   fcrlint_lexer.hpp     tokens
+//   fcrlint_core.hpp      Finding / FileInput / kRules / Allow   (this file)
+//   fcrlint_cfg.hpp       per-function control-flow graphs
+//   fcrlint_dataflow.hpp  forward worklist solver over those graphs
+//   fcrlint_model.hpp     cross-TU program model + interprocedural rules
+//   fcrlint_rules.hpp     per-file rules + lint_file/lint_tree drivers
+//   fcrlint_sarif.hpp     SARIF 2.1.0 serialization of the findings
 #pragma once
 
 #include <algorithm>
@@ -47,11 +48,7 @@ struct RuleMeta {
   std::string_view summary;
 };
 
-/// Bump when the finding/allow vocabulary or rule catalogue semantics
-/// change; feeds the cache fingerprint.
-inline constexpr int kCoreRev = 2;
-
-inline constexpr std::array<RuleMeta, 18> kRules = {{
+inline constexpr std::array<RuleMeta, 16> kRules = {{
     {"determinism",
      "entropy and wall-clock sources are banned in src/ (outside "
      "src/util/rng.*); all randomness flows through the seeded fcr::Rng"},
@@ -94,10 +91,6 @@ inline constexpr std::array<RuleMeta, 18> kRules = {{
      "catch handlers in src/ must rethrow, wrap into fcr::Error, or record "
      "a TrialFailure — a silently swallowed exception erases a faulted "
      "trial's provenance"},
-    {"lockset",
-     "interprocedural: reads/writes of an FCR_GUARDED_BY(m) member are "
-     "flagged unless the function or some caller on every visible path "
-     "holds m (MutexLock) or requires it (FCR_REQUIRES)"},
     {"rng-lineage",
      "interprocedural: every Rng constructed inside the execution closure "
      "must derive from a split() chain; ambient or default-seeded streams "
@@ -115,11 +108,6 @@ inline constexpr std::array<RuleMeta, 18> kRules = {{
      "dataflow: a container subscripted or back()/front()/at()-read in a "
      "function that sizes it (resize/assign/reserve) on only SOME CFG "
      "paths to the read — cold paths reading never-initialized columns"},
-    {"lockset-path",
-     "dataflow: branch-aware lockset — an FCR_GUARDED_BY(m) member access "
-     "is clean only when m is in the must-held set at the access itself "
-     "(scoped MutexLock extents and early unlocks accounted for) or the "
-     "function is reached from a call site that provably holds m"},
 }};
 
 inline bool is_known_rule(std::string_view rule) {
@@ -274,7 +262,7 @@ inline const RuleExplanation* explain_rule(std::string_view rule) {
     std::string_view id;
     RuleExplanation ex;
   };
-  static constexpr std::array<Entry, 18> kTable = {{
+  static constexpr std::array<Entry, 16> kTable = {{
       {"determinism",
        {"Reproducibility is the repo's core contract: every trial must "
         "replay bit-identically from its seed. Ambient entropy "
@@ -324,8 +312,8 @@ inline const RuleExplanation* explain_rule(std::string_view rule) {
         "order-insensitive or deliberately approximate>"}},
       {"lock-discipline",
        {"Only the annotated fcr::Mutex family participates in Clang "
-        "thread-safety analysis; a raw std::mutex is invisible to it and "
-        "to fcrlint's lockset rules.",
+        "thread-safety analysis; a raw std::mutex, or an fcr::Mutex no "
+        "annotation names, is invisible to its proof.",
         "  std::mutex m_;  // in src/",
         "// FCRLINT_ALLOW(lock-discipline): <why a raw primitive is "
         "required here>"}},
@@ -349,12 +337,6 @@ inline const RuleExplanation* explain_rule(std::string_view rule) {
         "  try { run(); } catch (const std::exception&) { /* ignore */ }",
         "// FCRLINT_ALLOW(error-discipline): <why swallowing is safe "
         "here>"}},
-      {"lockset",
-       {"An FCR_GUARDED_BY(m) member read without m held — in the function "
-        "or any caller on a visible path — is a data race the type system "
-        "did not catch.",
-        "  int v = shared_;  // shared_ is FCR_GUARDED_BY(mu_), no lock",
-        "// FCRLINT_ALLOW(lockset): <why this access is race-free>"}},
       {"rng-lineage",
        {"Inside the execution closure every stream must come from the "
         "trial's seeded base via split(<tag>); a re-rooted or "
@@ -386,16 +368,6 @@ inline const RuleExplanation* explain_rule(std::string_view rule) {
         "  col[0] = 1;  // cold path reads an empty vector",
         "// FCRLINT_ALLOW(definite-init): <the invariant that makes the "
         "unsized path unreachable>"}},
-      {"lockset-path",
-       {"The branch-aware lockset: scoped MutexLock extents, early "
-        "unlocks, and conditional acquisition are replayed through the "
-        "CFG, so an access after the lock scope closes — or on a path "
-        "that never locked — is caught, and conditional locks no longer "
-        "excuse unconditional accesses.",
-        "  { fcr::MutexLock l(mu_); shared_ = 1; }\n"
-        "  shared_ = 2;  // mu_ released at the brace above",
-        "// FCRLINT_ALLOW(lockset-path): <why this access is race-free "
-        "on every path>"}},
   }};
   for (const Entry& e : kTable) {
     if (e.id == rule) return &e.ex;

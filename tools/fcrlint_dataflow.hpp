@@ -9,14 +9,9 @@
 // intersection), and a generous iteration backstop guards against a client
 // lattice that fails to converge — a linter must degrade, never hang.
 //
-// Two pieces cover the v4 rules:
-//
-//   MustSet     sorted string set, join = intersection (definite-init's
-//               initialized-names fact and lockset-path's held-mutexes fact
-//               are both "true on ALL paths" facts);
-//   the lock replay helper walks a block's ordered events (code spans,
-//               acquire, release) so per-site facts — "what is held at
-//               THIS access" — fall out of the block-entry solution.
+// One lattice ships with it: MustSet, a sorted string set with join =
+// intersection, for "true on ALL paths" facts such as definite-init's
+// initialized names.
 #pragma once
 
 #include <algorithm>
@@ -29,10 +24,6 @@
 #include "fcrlint_cfg.hpp"
 
 namespace fcrlint::dataflow {
-
-/// Bump when solver semantics or the concrete lattices change; feeds the
-/// cache fingerprint.
-inline constexpr int kDataflowRev = 2;
 
 /// Forward worklist solve. `transfer(block_id, in_fact) -> out_fact`,
 /// `join(a, b) -> merged`. Returns the fact at each block's ENTRY; apply
@@ -72,7 +63,7 @@ inline std::vector<std::optional<Fact>> solve_forward(const cfg::Cfg& g,
 }
 
 // ---------------------------------------------------------------------------
-// Must-set lattice (definite-init, lockset-path).
+// Must-set lattice (definite-init).
 // ---------------------------------------------------------------------------
 
 using MustSet = std::set<std::string>;
@@ -82,32 +73,6 @@ inline MustSet must_join(const MustSet& a, const MustSet& b) {
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::inserter(out, out.begin()));
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Per-site replay.
-// ---------------------------------------------------------------------------
-
-/// The must-held lockset just before token `tok` inside block `b`, given the
-/// solved block-entry fact: replays the block's ordered events up to (not
-/// including) the span position of `tok`.
-inline MustSet held_at(const cfg::Block& blk, MustSet entry, std::size_t tok) {
-  for (const cfg::Event& e : blk.events) {
-    if (e.kind == cfg::Event::kSpan && e.span.contains(tok)) break;
-    if (e.kind == cfg::Event::kAcquire) entry.insert(e.lock);
-    else if (e.kind == cfg::Event::kRelease) entry.erase(e.lock);
-  }
-  return entry;
-}
-
-/// Block transfer for the lockset analysis: applies every acquire/release in
-/// order.
-inline MustSet apply_lock_events(const cfg::Block& blk, MustSet in) {
-  for (const cfg::Event& e : blk.events) {
-    if (e.kind == cfg::Event::kAcquire) in.insert(e.lock);
-    else if (e.kind == cfg::Event::kRelease) in.erase(e.lock);
-  }
-  return in;
 }
 
 }  // namespace fcrlint::dataflow

@@ -1,25 +1,23 @@
-// fcrlint v3 — cross-translation-unit program model and the four
-// interprocedural rules built on it.
+// fcrlint v3 — cross-translation-unit program model and the interprocedural
+// rules built on it.
 //
 // The per-file token rules (fcrlint_rules.hpp) cannot see across files, so
-// the invariants the repo's headline claims rest on — lock discipline around
-// FCR_GUARDED_BY state, split()-rooted Rng lineage, the PR 4 zero-allocation
-// steady state, and the PR 5 fcr::Error taxonomy — were only proven
-// dynamically (TSan, global new/delete counters, failpoint campaigns). This
-// header builds a lightweight semantic index from the existing token stream
-// and re-proves them statically, tree-wide:
+// the invariants the repo's headline claims rest on — split()-rooted Rng
+// lineage, the zero-allocation steady state, and the fcr::Error taxonomy —
+// were only proven dynamically (global new/delete counters, failpoint
+// campaigns). This header builds a lightweight semantic index from the
+// existing token stream and re-proves them statically, tree-wide:
 //
-//   extraction (per file, cacheable)
+//   extraction (per file)
 //     scope-stack pseudo-parse over the significant, non-preprocessor
 //     tokens: namespaces / classes (with base lists) / function definitions
-//     with qualified names; per function the held/required locks, call
-//     sites (with receivers), allocation sites, throw sites, Rng
-//     construction sites, and member accesses; per file the FCR_GUARDED_BY
-//     fields, the mentioned type names, and the reserve/clear'd receivers.
+//     with qualified names; per function the call sites (with receivers),
+//     allocation sites, throw sites, Rng construction sites and the
+//     definite-init flow hazards (fcrlint_cfg.hpp + fcrlint_dataflow.hpp);
+//     per file the mentioned type names and the reserve/clear'd receivers.
 //
 //   program model (cross-file)
-//     definitions merged with their declarations (FCR_REQUIRES on a header
-//     decl annotates the out-of-line definition), call edges resolved by
+//     definitions merged with their declarations, call edges resolved by
 //     qualified-name suffix or by unqualified name filtered through a
 //     class-visibility test (the callee's class — or one of its transitive
 //     bases, which over-approximates virtual dispatch — must be mentioned
@@ -27,8 +25,6 @@
 //     every finding carries a witness path.
 //
 //   rules (emit through the ordinary Finding / allow-annotation machinery)
-//     lockset          guarded member accessed with no caller-visible path
-//                      holding its mutex
 //     rng-lineage      ambient/defaulted Rng seeding anywhere in src/, and
 //                      seed-rooted streams constructed inside the execution
 //                      closure (run_execution / ExecutionWorkspace::run)
@@ -36,19 +32,16 @@
 //                      run_rounds, the steady-state round loop
 //     error-provenance bare std:: exceptions thrown on paths reachable
 //                      from ThreadPool::for_each callers (task bodies)
+//     definite-init    a container read on a path where no sizing call has
+//                      happened yet
 //
-// The model is deliberately an over-approximation (name-based resolution,
-// whole-body lock extents); where that direction risks false positives the
-// checks require positive evidence (e.g. a guarded-field access must come
-// from a method of a related class, or through a receiver whose declared
-// type matches the guarded class — a same-named member of an unrelated
-// struct never matches) and every residual finding is suppressible with a
-// reasoned allow.
+// The model is deliberately an over-approximation (name-based resolution);
+// every residual finding is suppressible with a reasoned allow.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -63,10 +56,6 @@
 
 namespace fcrlint::model {
 
-/// Bump when extraction output (the per-function fact schema or how facts
-/// are computed) changes; feeds the cache fingerprint.
-inline constexpr int kModelRev = 5;
-
 // ---------------------------------------------------------------------------
 // Per-file facts.
 // ---------------------------------------------------------------------------
@@ -75,8 +64,6 @@ struct CallSite {
   int line = 1;
   std::string receiver;  ///< object of a ./-> call ("" for free calls)
   std::string callee;    ///< name, possibly "A::b" qualified
-  std::vector<std::string> held;  ///< must-held mutexes at this site
-  std::size_t tok = npos;  ///< token index (extraction-transient, not cached)
 };
 
 struct AllocSite {
@@ -109,16 +96,6 @@ struct RngSite {
   std::string name;
 };
 
-struct Access {
-  int line = 1;
-  bool qualified = false;  ///< reached through . or ->
-  std::string name;
-  std::string receiver;   ///< object of a qualified access ("this", a name, "")
-  std::string recv_type;  ///< receiver's declared class, when known in-function
-  std::vector<std::string> held;  ///< must-held mutexes at this site
-  std::size_t tok = npos;  ///< token index (extraction-transient, not cached)
-};
-
 /// A read of a container on some path where no resize/assign/reserve has
 /// definitely happened yet (must-init dataflow over the CFG).
 struct InitHazard {
@@ -132,20 +109,11 @@ struct FunctionFacts {
   std::string cls;        ///< "fcr::ThreadPool" ("" for free functions)
   int line = 1;
   bool is_definition = false;
-  std::vector<std::string> locks;  ///< held (MutexLock/.lock()) or FCR_REQUIRES
   std::vector<CallSite> calls;
   std::vector<AllocSite> allocs;
   std::vector<ThrowSite> throw_sites;
   std::vector<RngSite> rngs;
-  std::vector<Access> accesses;
   std::vector<InitHazard> init_hazards;
-};
-
-struct GuardedField {
-  std::string cls;    ///< qualified class ("" at namespace scope)
-  std::string name;
-  std::string mutex;  ///< last identifier of the FCR_GUARDED_BY argument
-  int line = 1;
 };
 
 struct ClassDecl {
@@ -155,7 +123,6 @@ struct ClassDecl {
 
 struct FileModel {
   std::vector<FunctionFacts> functions;
-  std::vector<GuardedField> fields;
   std::vector<ClassDecl> classes;
   std::vector<std::string> types_mentioned;  ///< uppercase-initial idents
   std::vector<std::string> reserved;  ///< receivers of reserve/clear/assign/resize
@@ -173,7 +140,7 @@ using fcrlint::detail::starts_with;
 inline bool is_upper(char c) { return c >= 'A' && c <= 'Z'; }
 
 /// C++ keywords and fcrlint-relevant macro-ish names that are never treated
-/// as callees, receivers, or data accesses.
+/// as callees or receivers.
 inline bool keyword(std::string_view s) {
   static const std::set<std::string_view> k = {
       "alignas",   "alignof",  "and",        "asm",          "auto",
@@ -286,7 +253,6 @@ inline std::size_t try_function(const std::vector<Token>& t, std::size_t i,
   const std::size_t params_close = match_forward(t, j, "(", ")");
   if (params_close == npos) return npos;
 
-  std::vector<std::string> locks;
   std::size_t body_open = npos;
   std::size_t k = params_close + 1;
   while (k < n) {
@@ -328,19 +294,6 @@ inline std::size_t try_function(const std::vector<Token>& t, std::size_t i,
            tk.text == "throw")) {
         const std::size_t close = match_forward(t, k + 1, "(", ")");
         if (close == npos) return npos;
-        if (tk.text == "FCR_REQUIRES" || tk.text == "FCR_ACQUIRE" ||
-            tk.text == "FCR_RELEASE") {
-          std::string cur;
-          for (std::size_t a = k + 2; a < close; ++a) {
-            if (t[a].kind == TokKind::kIdent && t[a].text != "this") {
-              cur = t[a].text;
-            } else if (t[a].punct(",")) {
-              if (!cur.empty()) locks.push_back(cur);
-              cur.clear();
-            }
-          }
-          if (!cur.empty()) locks.push_back(cur);
-        }
         k = close + 1;
         continue;
       }
@@ -381,7 +334,6 @@ inline std::size_t try_function(const std::vector<Token>& t, std::size_t i,
   rf.facts.cls = cls;
   rf.facts.qualified = join_qual(cls.empty() ? prefix : cls, name);
   rf.facts.line = t[i].line;
-  rf.facts.locks = std::move(locks);
   rf.params_begin = j + 1;
   rf.params_end = params_close;
   if (body_open != npos) {
@@ -398,12 +350,11 @@ inline std::size_t try_function(const std::vector<Token>& t, std::size_t i,
 }
 
 /// Walks the top-level structure (namespaces, classes, function declarators)
-/// of the filtered token stream, collecting raw functions, guarded fields
-/// and class declarations. Function bodies are consumed whole here and
-/// scanned by scan_body afterwards.
+/// of the filtered token stream, collecting raw functions and class
+/// declarations. Function bodies are consumed whole here and scanned by
+/// scan_body afterwards.
 inline void parse_structure(const std::vector<Token>& t,
                             std::vector<RawFunction>& fns,
-                            std::vector<GuardedField>& fields,
                             std::vector<ClassDecl>& classes) {
   struct Scope {
     int kind;  // 0 namespace, 1 class, 2 plain block
@@ -559,20 +510,13 @@ inline void parse_structure(const std::vector<Token>& t,
       continue;
     }
     const bool in_class = !scopes.empty() && scopes.back().kind == 1;
+    // `T name_ FCR_GUARDED_BY(m);` is a data member, not a declarator of a
+    // function named FCR_GUARDED_BY.
     if (in_class && tok.kind == TokKind::kIdent &&
         (tok.text == "FCR_GUARDED_BY" || tok.text == "FCR_PT_GUARDED_BY") &&
         i + 1 < n && t[i + 1].punct("(")) {
       const std::size_t close = match_forward(t, i + 1, "(", ")");
       if (close != npos && i >= 1 && t[i - 1].kind == TokKind::kIdent) {
-        std::string mx;
-        for (std::size_t a = i + 2; a < close; ++a) {
-          if (t[a].kind == TokKind::kIdent && t[a].text != "this") {
-            mx = t[a].text;
-          }
-        }
-        if (!mx.empty()) {
-          fields.push_back({prefix(), t[i - 1].text, mx, t[i - 1].line});
-        }
         i = close + 1;
         continue;
       }
@@ -613,64 +557,9 @@ inline std::size_t receiver_index(const std::vector<Token>& t, std::size_t lo,
   return npos;
 }
 
-/// True when the receiver at `r` is the root of its access chain (not itself
-/// reached through ./->, as the middle of `a->b.c` would be).
-inline bool chain_root(const std::vector<Token>& t, std::size_t lo,
-                       std::size_t r) {
-  return r <= lo || (!t[r - 1].punct(".") && !t[r - 1].punct("->"));
-}
-
-/// Scans a token range for `Type name` declarations (parameters and local
-/// variables) and records name -> last type component. Qualifier chains keep
-/// the final component (`fcr::sim::CheckpointData d` -> "CheckpointData");
-/// `auto` and template-dependent declarations record nothing.
-inline void collect_typed_decls(const std::vector<Token>& t, std::size_t lo,
-                                std::size_t hi,
-                                std::map<std::string, std::string>& typed) {
-  for (std::size_t m = lo; m < hi; ++m) {
-    const Token& tok = t[m];
-    if (tok.kind != TokKind::kIdent || keyword(tok.text) ||
-        !is_upper(tok.text[0])) {
-      continue;
-    }
-    std::string type = tok.text;
-    std::size_t a = m + 1;
-    if (a < hi && t[a].punct("<")) {
-      const std::size_t after = skip_angles(t, a);
-      if (after == npos) continue;
-      a = after;
-    }
-    while (a + 1 < hi && t[a].punct("::") && t[a + 1].kind == TokKind::kIdent) {
-      type = t[a + 1].text;
-      a += 2;
-      if (a < hi && t[a].punct("<")) {
-        const std::size_t after = skip_angles(t, a);
-        if (after == npos) {
-          a = hi;
-          break;
-        }
-        a = after;
-      }
-    }
-    while (a < hi && (t[a].punct("&") || t[a].punct("&&") || t[a].punct("*") ||
-                      t[a].ident("const"))) {
-      ++a;
-    }
-    if (a >= hi || t[a].kind != TokKind::kIdent || keyword(t[a].text)) continue;
-    const Token* after = a + 1 < hi ? &t[a + 1] : nullptr;
-    const bool decl_like = after == nullptr || after->punct(";") ||
-                           after->punct(",") || after->punct(")") ||
-                           after->punct("=") || after->punct("(") ||
-                           after->punct("{") || after->punct("[");
-    if (decl_like) typed[t[a].text] = type;
-    m = a;  // resume past the declarator name
-  }
-}
-
-/// Scans one function body for calls, locks, allocations, throws, Rng
-/// construction sites, and member accesses.
+/// Scans one function body for calls, allocations, throws and Rng
+/// construction sites.
 inline void scan_body(const std::vector<Token>& t, RawFunction& rf,
-                      const std::set<std::string>& file_guarded,
                       std::set<std::string>& reserved_out) {
   FunctionFacts& f = rf.facts;
   std::set<std::string> locals;          // declared container locals
@@ -687,23 +576,6 @@ inline void scan_body(const std::vector<Token>& t, RawFunction& rf,
       "reserve", "resize", "assign", "clear", "shrink_to_fit"};
   const std::size_t lo = rf.body_begin;
   const std::size_t hi = rf.body_end;
-
-  // Declared types of parameters and locals, so a qualified access through a
-  // typed receiver can be matched against the guarded field's class.
-  std::map<std::string, std::string> typed;
-  collect_typed_decls(t, rf.params_begin, rf.params_end, typed);
-  collect_typed_decls(t, lo, hi, typed);
-
-  auto dedup_access = [&](std::size_t tok_idx, int line, bool qualified,
-                          const std::string& name,
-                          const std::string& receiver = std::string{},
-                          const std::string& recv_type = std::string{}) {
-    for (const Access& a : f.accesses) {
-      if (a.name == name && a.qualified == qualified && a.line == line) return;
-    }
-    f.accesses.push_back({line, qualified, name, receiver, recv_type, {},
-                          tok_idx});
-  };
 
   for (std::size_t m = lo; m < hi; ++m) {
     const Token& tok = t[m];
@@ -736,39 +608,6 @@ inline void scan_body(const std::vector<Token>& t, RawFunction& rf,
       }
       f.allocs.push_back(
           {AllocSite::kNew, tok.line, what.empty() ? std::string("object") : what});
-      continue;
-    }
-    if (s == "MutexLock" && nx != nullptr) {
-      std::size_t a = m + 1;
-      if (a < hi && t[a].kind == TokKind::kIdent) ++a;  // lock variable name
-      if (a < hi && (t[a].punct("(") || t[a].punct("{"))) {
-        const bool paren = t[a].punct("(");
-        const std::size_t close =
-            match_forward(t, a, paren ? "(" : "{", paren ? ")" : "}");
-        if (close != npos) {
-          std::string mx;
-          for (std::size_t b = a + 1; b < close; ++b) {
-            if (t[b].kind == TokKind::kIdent && t[b].text != "this") {
-              mx = t[b].text;
-            }
-          }
-          if (!mx.empty()) f.locks.push_back(mx);
-          m = close;
-          continue;
-        }
-      }
-      continue;
-    }
-    if (starts_with(s, "FCR_ASSERT") && nx != nullptr && nx->punct("(")) {
-      const std::size_t close = match_forward(t, m + 1, "(", ")");
-      if (close != npos) {
-        for (std::size_t b = m + 2; b < close; ++b) {
-          if (t[b].kind == TokKind::kIdent && t[b].text != "this") {
-            f.locks.push_back(t[b].text);
-          }
-        }
-        m = close;
-      }
       continue;
     }
     if (s == "Rng" && nx != nullptr && nx->kind == TokKind::kIdent) {
@@ -892,14 +731,6 @@ inline void scan_body(const std::vector<Token>& t, RawFunction& rf,
           } else {
             reserved_out.insert(receiver);
           }
-        } else if (s == "lock") {
-          f.locks.push_back(receiver);
-        }
-        // The receiver itself is a data access — but only when it roots the
-        // chain (the middle of `a->b.c(` is not a bare name in scope).
-        if (chain_root(t, lo, ri)) {
-          dedup_access(ri, tok.line, false,
-                       receiver);  // bare name feeding a member call
         }
       }
       if (!decl_like) {
@@ -912,28 +743,9 @@ inline void scan_body(const std::vector<Token>& t, RawFunction& rf,
             callee = t[m - 4].text + "::" + callee;
           }
         }
-        f.calls.push_back({tok.line, receiver, callee, {}, m});
+        f.calls.push_back({tok.line, receiver, callee});
       }
       continue;
-    }
-    // Data accesses (identifier not followed by a call).
-    if (keyword(s)) continue;
-    const bool qualified = pv != nullptr && (pv->punct(".") || pv->punct("->"));
-    const bool scoped = (pv != nullptr && pv->punct("::")) ||
-                        (nx != nullptr && nx->punct("::"));
-    if (qualified) {
-      const std::size_t ri = receiver_index(t, lo, m);
-      const std::string recv = ri == npos ? std::string{} : t[ri].text;
-      std::string rtype;
-      if (!recv.empty() && recv != "this") {
-        const auto it = typed.find(recv);
-        if (it != typed.end()) rtype = it->second;
-      }
-      dedup_access(m, tok.line, true, s, recv, rtype);
-    } else if (!scoped && ((!s.empty() && s.back() == '_') ||
-                           file_guarded.count(s) != 0 ||
-                           (!f.cls.empty() && !is_upper(s[0])))) {
-      dedup_access(m, tok.line, false, s);
     }
   }
 }
@@ -942,50 +754,15 @@ inline void scan_body(const std::vector<Token>& t, RawFunction& rf,
 // v4 flow analysis: CFG + dataflow facts per function.
 // ---------------------------------------------------------------------------
 
-/// The v4 per-function flow pass. Builds the CFG over the body and derives
-/// everything the two path-sensitive rules consume:
-///
-///   * per-site must-held locksets on every call site and data access
-///     (lockset-path), seeded from the declarator's FCR_REQUIRES locks —
-///     `decl_lock_count` says how many of facts.locks came from the
-///     declarator rather than scan_body's whole-extent collection;
-///   * definite-init hazards: a must-initialized dataflow over container
-///     locals and in-function sized receivers, flagging subscript/back/
-///     front reads on paths where no resize/assign/reserve dominates.
-inline void analyze_flow(const std::vector<Token>& t, RawFunction& rf,
-                         std::size_t decl_lock_count) {
+/// The v4 per-function flow pass: builds the CFG over the body and runs a
+/// must-initialized dataflow over container locals and in-function sized
+/// receivers, recording as definite-init hazards the subscript/back/front
+/// reads on paths where no resize/assign/reserve dominates.
+inline void analyze_flow(const std::vector<Token>& t, RawFunction& rf) {
   FunctionFacts& f = rf.facts;
   const std::size_t lo = rf.body_begin;
   const std::size_t hi = rf.body_end;
-  const cfg::Cfg g = cfg::build_cfg(t, lo, hi);
 
-  // --- per-site must-held locksets ---
-  dataflow::MustSet lock_entry;
-  for (std::size_t i = 0; i < decl_lock_count && i < f.locks.size(); ++i) {
-    lock_entry.insert(f.locks[i]);
-  }
-  const auto lock_in = dataflow::solve_forward<dataflow::MustSet>(
-      g, lock_entry,
-      [&g](std::size_t b, const dataflow::MustSet& in) {
-        return dataflow::apply_lock_events(g.blocks[b], in);
-      },
-      dataflow::must_join);
-  auto held_for = [&](std::size_t tok) {
-    std::vector<std::string> held;
-    const std::size_t b = tok == npos ? npos : g.block_of(tok);
-    if (b == npos || !lock_in[b].has_value()) {
-      held.assign(lock_entry.begin(), lock_entry.end());
-      return held;
-    }
-    const dataflow::MustSet at =
-        dataflow::held_at(g.blocks[b], *lock_in[b], tok);
-    held.assign(at.begin(), at.end());
-    return held;
-  };
-  for (CallSite& c : f.calls) c.held = held_for(c.tok);
-  for (Access& a : f.accesses) a.held = held_for(a.tok);
-
-  // --- definite-init ---
   std::set<std::string> params;
   for (std::size_t m = rf.params_begin; m < rf.params_end && m < t.size();
        ++m) {
@@ -1021,75 +798,72 @@ inline void analyze_flow(const std::vector<Token>& t, RawFunction& rf,
     }
   }
   for (const std::string& p : params) candidates.erase(p);
-  if (!candidates.empty()) {
-    // Gen rule: sized/assigning member calls, whole assignment, a sized
-    // declaration, or any other mention (passing by reference to a filler
-    // counts — the analysis only flags reads no mention could have fed).
-    // Use rule: subscripts and back/front/at.
-    auto replay_span = [&](cfg::Span s, dataflow::MustSet& in,
-                           std::vector<InitHazard>* hazards,
-                           std::set<std::pair<std::string, int>>* seen) {
-      for (std::size_t m = s.lo; m < s.hi && m < t.size(); ++m) {
-        if (t[m].kind != TokKind::kIdent) continue;
-        const std::string& name = t[m].text;
-        if (candidates.count(name) == 0) continue;
-        const Token* nx = m + 1 < hi ? &t[m + 1] : nullptr;
-        if (nx != nullptr && nx->punct("[")) {
+  if (candidates.empty()) return;
+
+  const cfg::Cfg g = cfg::build_cfg(t, lo, hi);
+  // Gen rule: sized/assigning member calls, whole assignment, a sized
+  // declaration, or any other mention (passing by reference to a filler
+  // counts — the analysis only flags reads no mention could have fed).
+  // Use rule: subscripts and back/front/at.
+  auto replay_span = [&](cfg::Span s, dataflow::MustSet& in,
+                         std::vector<InitHazard>* hazards,
+                         std::set<std::pair<std::string, int>>* seen) {
+    for (std::size_t m = s.lo; m < s.hi && m < t.size(); ++m) {
+      if (t[m].kind != TokKind::kIdent) continue;
+      const std::string& name = t[m].text;
+      if (candidates.count(name) == 0) continue;
+      const Token* nx = m + 1 < hi ? &t[m + 1] : nullptr;
+      if (nx != nullptr && nx->punct("[")) {
+        if (in.count(name) == 0 && hazards != nullptr &&
+            seen->insert({name, t[m].line}).second) {
+          hazards->push_back({t[m].line, name});
+        }
+        continue;  // a subscript never establishes size
+      }
+      if (nx != nullptr && (nx->punct(".") || nx->punct("->")) &&
+          m + 2 < t.size() && t[m + 2].kind == TokKind::kIdent) {
+        const std::string& member = t[m + 2].text;
+        if (kReadCalls.count(member) != 0) {
           if (in.count(name) == 0 && hazards != nullptr &&
               seen->insert({name, t[m].line}).second) {
             hazards->push_back({t[m].line, name});
           }
-          continue;  // a subscript never establishes size
+        } else if (kInitCalls.count(member) != 0 || member == "size" ||
+                   member == "empty" || member == "capacity") {
+          // Sizing calls establish the size; consulting size()/empty()
+          // is positive evidence the code handles the empty case (the
+          // guard polarity is beyond a must-set lattice), so both count
+          // as initialization. clear() and the rest stay neutral.
+          in.insert(name);
         }
-        if (nx != nullptr && (nx->punct(".") || nx->punct("->")) &&
-            m + 2 < t.size() && t[m + 2].kind == TokKind::kIdent) {
-          const std::string& member = t[m + 2].text;
-          if (kReadCalls.count(member) != 0) {
-            if (in.count(name) == 0 && hazards != nullptr &&
-                seen->insert({name, t[m].line}).second) {
-              hazards->push_back({t[m].line, name});
-            }
-          } else if (kInitCalls.count(member) != 0 || member == "size" ||
-                     member == "empty" || member == "capacity") {
-            // Sizing calls establish the size; consulting size()/empty()
-            // is positive evidence the code handles the empty case (the
-            // guard polarity is beyond a must-set lattice), so both count
-            // as initialization. clear() and the rest stay neutral.
-            in.insert(name);
-          }
-          ++m;  // skip past the accessor so it is not treated as a mention
-          continue;
-        }
-        in.insert(name);
+        ++m;  // skip past the accessor so it is not treated as a mention
+        continue;
       }
-    };
-    const auto init_in = dataflow::solve_forward<dataflow::MustSet>(
-        g, dataflow::MustSet{},
-        [&](std::size_t b, const dataflow::MustSet& in) {
-          dataflow::MustSet out = in;
-          for (const cfg::Event& e : g.blocks[b].events) {
-            if (e.kind == cfg::Event::kSpan) {
-              replay_span(e.span, out, nullptr, nullptr);
-            }
-          }
-          return out;
-        },
-        dataflow::must_join);
-    std::set<std::pair<std::string, int>> seen;
-    for (std::size_t b = 0; b < g.blocks.size(); ++b) {
-      if (!init_in[b].has_value()) continue;
-      dataflow::MustSet cur = *init_in[b];
-      for (const cfg::Event& e : g.blocks[b].events) {
-        if (e.kind == cfg::Event::kSpan) {
-          replay_span(e.span, cur, &f.init_hazards, &seen);
-        }
-      }
+      in.insert(name);
     }
-    std::sort(f.init_hazards.begin(), f.init_hazards.end(),
-              [](const InitHazard& a, const InitHazard& b) {
-                return a.line != b.line ? a.line < b.line : a.name < b.name;
-              });
+  };
+  const auto init_in = dataflow::solve_forward<dataflow::MustSet>(
+      g, dataflow::MustSet{},
+      [&](std::size_t b, const dataflow::MustSet& in) {
+        dataflow::MustSet out = in;
+        for (const cfg::Span& span : g.blocks[b].spans) {
+          replay_span(span, out, nullptr, nullptr);
+        }
+        return out;
+      },
+      dataflow::must_join);
+  std::set<std::pair<std::string, int>> seen;
+  for (std::size_t b = 0; b < g.blocks.size(); ++b) {
+    if (!init_in[b].has_value()) continue;
+    dataflow::MustSet cur = *init_in[b];
+    for (const cfg::Span& span : g.blocks[b].spans) {
+      replay_span(span, cur, &f.init_hazards, &seen);
+    }
   }
+  std::sort(f.init_hazards.begin(), f.init_hazards.end(),
+            [](const InitHazard& a, const InitHazard& b) {
+              return a.line != b.line ? a.line < b.line : a.name < b.name;
+            });
 }
 
 }  // namespace extdetail
@@ -1112,20 +886,13 @@ inline FileModel extract(const std::string& path,
   }
 
   std::vector<extdetail::RawFunction> raw;
-  extdetail::parse_structure(t, raw, fm.fields, fm.classes);
-
-  std::set<std::string> file_guarded;
-  for (const GuardedField& g : fm.fields) file_guarded.insert(g.name);
+  extdetail::parse_structure(t, raw, fm.classes);
 
   std::set<std::string> reserved;
   for (extdetail::RawFunction& rf : raw) {
     if (rf.facts.is_definition && rf.body_end > rf.body_begin) {
-      // Locks recorded before body scanning came from the declarator
-      // (FCR_REQUIRES & co) and hold over the whole body: they seed the
-      // branch-aware lockset's entry fact.
-      const std::size_t decl_locks = rf.facts.locks.size();
-      extdetail::scan_body(t, rf, file_guarded, reserved);
-      extdetail::analyze_flow(t, rf, decl_locks);
+      extdetail::scan_body(t, rf, reserved);
+      extdetail::analyze_flow(t, rf);
     }
     fm.functions.push_back(std::move(rf.facts));
   }
@@ -1157,14 +924,10 @@ struct ProgramFunction {
   FunctionFacts facts;
   std::string file;
   std::vector<std::size_t> callees;
-  /// Per call site (parallel to facts.calls): the resolved target indices.
-  /// A site with several entries is an unresolved overload set.
-  std::vector<std::vector<std::size_t>> callee_sites;
 };
 
 struct ProgramModel {
   std::vector<ProgramFunction> fns;
-  std::vector<std::pair<std::string, GuardedField>> fields;  // (file, field)
   std::set<std::string> reserved;  ///< receivers reserved/cleared anywhere
   std::map<std::string, std::set<std::string>> file_types;
   std::map<std::string, std::vector<std::string>> bases;  ///< by last name
@@ -1208,22 +971,19 @@ inline bool class_visible(const ProgramModel& pm,
 
 }  // namespace pmdetail
 
-/// Builds the cross-file model: merges declarations into definitions (a
-/// header FCR_REQUIRES annotates the out-of-line body), resolves call edges,
-/// and indexes guarded fields and reserved receivers.
+/// Builds the cross-file model: one node per defined function plus one per
+/// declaration that has no definition in the tree, resolved call edges, and
+/// the reserved receivers.
 inline ProgramModel build_program_model(const std::vector<TreeFile>& files) {
   ProgramModel pm;
-  std::map<std::string, std::size_t> def_by_qualified;
-  // Definitions first, then declarations merge into them.
+  std::set<std::string> defined;
+  // Definitions first; a declaration only adds a node when nothing defines it.
   for (const TreeFile& f : files) {
     if (f.model == nullptr) continue;
     for (const FunctionFacts& fn : f.model->functions) {
       if (!fn.is_definition) continue;
-      def_by_qualified.emplace(fn.qualified, pm.fns.size());
-      pm.fns.push_back({fn, f.path, {}, {}});
-    }
-    for (const GuardedField& g : f.model->fields) {
-      pm.fields.emplace_back(f.path, g);
+      defined.insert(fn.qualified);
+      pm.fns.push_back({fn, f.path, {}});
     }
     for (const std::string& r : f.model->reserved) pm.reserved.insert(r);
     auto& types = pm.file_types[f.path];
@@ -1238,32 +998,19 @@ inline ProgramModel build_program_model(const std::vector<TreeFile>& files) {
   for (const TreeFile& f : files) {
     if (f.model == nullptr) continue;
     for (const FunctionFacts& fn : f.model->functions) {
-      if (fn.is_definition) continue;
-      const auto it = def_by_qualified.find(fn.qualified);
-      if (it != def_by_qualified.end()) {
-        auto& locks = pm.fns[it->second].facts.locks;
-        for (const std::string& l : fn.locks) {
-          if (std::find(locks.begin(), locks.end(), l) == locks.end()) {
-            locks.push_back(l);
-          }
-        }
-      } else {
-        pm.fns.push_back({fn, f.path, {}, {}});
+      if (!fn.is_definition && defined.count(fn.qualified) == 0) {
+        pm.fns.push_back({fn, f.path, {}});
       }
     }
   }
   for (std::size_t i = 0; i < pm.fns.size(); ++i) {
     pm.by_name[pm.fns[i].facts.name].push_back(i);
   }
-  // Call-edge resolution, recorded per call site so the path-sensitive
-  // rules can reason about an individual site's lockset.
+  // Call-edge resolution.
   for (ProgramFunction& fn : pm.fns) {
     const std::set<std::string>& types = pm.file_types[fn.file];
     std::set<std::size_t> edges;
-    fn.callee_sites.assign(fn.facts.calls.size(), {});
-    for (std::size_t ci = 0; ci < fn.facts.calls.size(); ++ci) {
-      const CallSite& c = fn.facts.calls[ci];
-      std::set<std::size_t> site;
+    for (const CallSite& c : fn.facts.calls) {
       const std::size_t sep = c.callee.rfind("::");
       if (sep != std::string::npos) {
         const std::string last = c.callee.substr(sep + 2);
@@ -1273,7 +1020,7 @@ inline ProgramModel build_program_model(const std::vector<TreeFile>& files) {
           const std::string& q = pm.fns[idx].facts.qualified;
           if (q == c.callee ||
               fcrlint::detail::ends_with(q, "::" + c.callee)) {
-            site.insert(idx);
+            edges.insert(idx);
           }
         }
       } else {
@@ -1281,22 +1028,15 @@ inline ProgramModel build_program_model(const std::vector<TreeFile>& files) {
         if (it == pm.by_name.end()) continue;
         for (const std::size_t idx : it->second) {
           const std::string& cls = pm.fns[idx].facts.cls;
-          if (cls.empty()) {  // free function: always a candidate
-            site.insert(idx);
-            continue;
-          }
-          if (pmdetail::cls_related(fn.facts.cls, cls)) {
-            site.insert(idx);
-            continue;
-          }
-          if (pmdetail::class_visible(pm, types,
+          // A free function is always a candidate; a method when its
+          // class is related to the caller's or visible in the caller's file.
+          if (cls.empty() || pmdetail::cls_related(fn.facts.cls, cls) ||
+              pmdetail::class_visible(pm, types,
                                       pmdetail::last_component(cls))) {
-            site.insert(idx);
+            edges.insert(idx);
           }
         }
       }
-      edges.insert(site.begin(), site.end());
-      fn.callee_sites[ci].assign(site.begin(), site.end());
     }
     fn.callees.assign(edges.begin(), edges.end());
   }
@@ -1350,6 +1090,18 @@ inline std::string witness_chain(const ProgramModel& pm,
 // Interprocedural rules.
 // ---------------------------------------------------------------------------
 
+/// The steady-state round loops: hot-path-alloc's roots.
+inline constexpr std::array<std::string_view, 2> kRoundLoopRoots = {
+    "ExecutionWorkspace::run_rounds",
+    "ExecutionWorkspace::run_rounds_columnar"};
+
+/// The execution closure's entry points, round loops included:
+/// rng-lineage's roots.
+inline constexpr std::array<std::string_view, 4> kExecutionRoots = {
+    "run_execution", "ExecutionWorkspace::run",
+    "ExecutionWorkspace::run_rounds",
+    "ExecutionWorkspace::run_rounds_columnar"};
+
 namespace pmdetail {
 
 inline const std::vector<Allow>& allows_of(const std::vector<TreeFile>& files,
@@ -1363,17 +1115,19 @@ inline const std::vector<Allow>& allows_of(const std::vector<TreeFile>& files,
 
 /// Root indices whose qualified name ends with any of `suffixes` ("::"-
 /// anchored) or whose plain name equals a suffix without "::".
-inline std::vector<std::size_t> roots_matching(
-    const ProgramModel& pm, const std::vector<std::string>& suffixes) {
+template <class Names>
+inline std::vector<std::size_t> roots_matching(const ProgramModel& pm,
+                                               const Names& suffixes) {
   std::vector<std::size_t> roots;
   for (std::size_t i = 0; i < pm.fns.size(); ++i) {
     const ProgramFunction& fn = pm.fns[i];
-    for (const std::string& s : suffixes) {
+    for (const std::string_view s : suffixes) {
       const bool hit =
-          s.find("::") == std::string::npos
+          s.find("::") == std::string_view::npos
               ? fn.facts.name == s
               : (fn.facts.qualified == s ||
-                 fcrlint::detail::ends_with(fn.facts.qualified, "::" + s));
+                 fcrlint::detail::ends_with(fn.facts.qualified,
+                                            "::" + std::string(s)));
       if (hit) {
         roots.push_back(i);
         break;
@@ -1385,77 +1139,6 @@ inline std::vector<std::size_t> roots_matching(
 
 }  // namespace pmdetail
 
-/// lockset: a read/write of an FCR_GUARDED_BY(m) member is flagged unless
-/// the accessing function — or some transitive caller — holds or requires
-/// m. Field/access matching is conservative: an unqualified (or this->)
-/// access must come from a method of a related class; an access through a
-/// named receiver requires the receiver's declared type to match the
-/// guarded class, so a same-named member of an unrelated struct never
-/// matches.
-inline std::vector<Finding> check_lockset(const ProgramModel& pm,
-                                          const std::vector<TreeFile>& files) {
-  std::vector<Finding> out;
-  // covered[mutex] = functions running with `mutex` held on every discovered
-  // path: the holders themselves plus everything they (transitively) call.
-  std::map<std::string, std::vector<std::size_t>> holders;
-  for (std::size_t i = 0; i < pm.fns.size(); ++i) {
-    for (const std::string& l : pm.fns[i].facts.locks) holders[l].push_back(i);
-  }
-  std::map<std::string, std::vector<std::size_t>> covered;
-  for (const auto& [mx, hs] : holders) covered[mx] = reach_parents(pm, hs);
-
-  for (std::size_t i = 0; i < pm.fns.size(); ++i) {
-    const ProgramFunction& fn = pm.fns[i];
-    if (!fn.facts.is_definition ||
-        !fcrlint::detail::starts_with(fn.file, "src/")) {
-      continue;
-    }
-    std::set<std::string> reported;
-    for (const Access& a : fn.facts.accesses) {
-      bool eligible = false;
-      bool ok = false;
-      std::string mutex_name;
-      for (const auto& [ffile, fld] : pm.fields) {
-        if (fld.name != a.name) continue;
-        const bool related = pmdetail::cls_related(fn.facts.cls, fld.cls);
-        bool elig;
-        if (!a.qualified || a.receiver == "this") {
-          elig = related;
-        } else {
-          elig = !a.recv_type.empty() &&
-                 a.recv_type == pmdetail::last_component(fld.cls);
-        }
-        if (!elig) continue;
-        eligible = true;
-        mutex_name = fld.mutex;
-        const bool held =
-            std::find(fn.facts.locks.begin(), fn.facts.locks.end(),
-                      fld.mutex) != fn.facts.locks.end();
-        const auto cov = covered.find(fld.mutex);
-        const bool via_caller =
-            cov != covered.end() && cov->second[i] != npos;
-        if (held || via_caller) {
-          ok = true;
-          break;
-        }
-      }
-      if (!eligible || ok) continue;
-      if (!reported.insert(a.name).second) continue;
-      if (allowed_on_line(pmdetail::allows_of(files, fn.file), "lockset",
-                          a.line)) {
-        continue;
-      }
-      out.push_back(
-          {fn.file, a.line, "lockset",
-           "'" + a.name + "' is FCR_GUARDED_BY(" + mutex_name +
-               ") but no caller-visible path into '" + fn.facts.qualified +
-               "' holds it — take fcr::MutexLock or annotate the function "
-               "with FCR_REQUIRES(" + mutex_name + ")"});
-    }
-  }
-  return out;
-}
-
 /// rng-lineage: ambient/defaulted Rng construction is banned everywhere in
 /// src/ (outside util/rng.*), and seed-rooted streams may only be built
 /// outside the execution closure — inside it every stream must come from a
@@ -1463,10 +1146,8 @@ inline std::vector<Finding> check_lockset(const ProgramModel& pm,
 inline std::vector<Finding> check_rng_lineage(
     const ProgramModel& pm, const std::vector<TreeFile>& files) {
   std::vector<Finding> out;
-  const std::vector<std::size_t> roots = pmdetail::roots_matching(
-      pm, {"run_execution", "ExecutionWorkspace::run",
-           "ExecutionWorkspace::run_rounds",
-           "ExecutionWorkspace::run_rounds_columnar"});
+  const std::vector<std::size_t> roots =
+      pmdetail::roots_matching(pm, kExecutionRoots);
   const std::vector<std::size_t> parent = reach_parents(pm, roots);
   for (std::size_t i = 0; i < pm.fns.size(); ++i) {
     const ProgramFunction& fn = pm.fns[i];
@@ -1509,9 +1190,8 @@ inline std::vector<Finding> check_rng_lineage(
 inline std::vector<Finding> check_hot_path_alloc(
     const ProgramModel& pm, const std::vector<TreeFile>& files) {
   std::vector<Finding> out;
-  const std::vector<std::size_t> roots = pmdetail::roots_matching(
-      pm, {"ExecutionWorkspace::run_rounds",
-           "ExecutionWorkspace::run_rounds_columnar"});
+  const std::vector<std::size_t> roots =
+      pmdetail::roots_matching(pm, kRoundLoopRoots);
   const std::vector<std::size_t> parent = reach_parents(pm, roots);
   for (std::size_t i = 0; i < pm.fns.size(); ++i) {
     const ProgramFunction& fn = pm.fns[i];
@@ -1642,83 +1322,7 @@ inline std::vector<Finding> check_definite_init(
   return out;
 }
 
-/// lockset-path: the branch-aware upgrade of the v3 lockset rule. An access
-/// to an FCR_GUARDED_BY(m) member is clean only when m is in the must-held
-/// set AT THE ACCESS (scoped MutexLock extents, early unlocks and all CFG
-/// paths accounted for), or the function is covered by a call site that
-/// provably holds m. Conditional locks stop covering unconditional
-/// accesses, and accesses after a scope's release are caught.
-inline std::vector<Finding> check_lockset_path(
-    const ProgramModel& pm, const std::vector<TreeFile>& files) {
-  std::vector<Finding> out;
-  // covered[m]: functions invoked from at least one call site where m is
-  // held — everything they run (transitively) happens under m, since a
-  // callee cannot release its caller's scoped lock.
-  std::map<std::string, std::vector<std::size_t>> covered;
-  {
-    std::map<std::string, std::vector<std::size_t>> seeds;
-    for (const ProgramFunction& fn : pm.fns) {
-      for (std::size_t ci = 0; ci < fn.facts.calls.size(); ++ci) {
-        if (ci >= fn.callee_sites.size()) break;
-        for (const std::string& m : fn.facts.calls[ci].held) {
-          for (const std::size_t tgt : fn.callee_sites[ci]) {
-            seeds[m].push_back(tgt);
-          }
-        }
-      }
-    }
-    for (auto& [m, s] : seeds) covered[m] = reach_parents(pm, s);
-  }
-  for (std::size_t i = 0; i < pm.fns.size(); ++i) {
-    const ProgramFunction& fn = pm.fns[i];
-    if (!fn.facts.is_definition ||
-        !fcrlint::detail::starts_with(fn.file, "src/")) {
-      continue;
-    }
-    std::set<std::pair<std::string, int>> reported;
-    for (const Access& a : fn.facts.accesses) {
-      bool eligible = false;
-      bool ok = false;
-      std::string mutex_name;
-      for (const auto& [ffile, fld] : pm.fields) {
-        if (fld.name != a.name) continue;
-        bool elig;
-        if (!a.qualified || a.receiver == "this") {
-          elig = pmdetail::cls_related(fn.facts.cls, fld.cls);
-        } else {
-          elig = !a.recv_type.empty() &&
-                 a.recv_type == pmdetail::last_component(fld.cls);
-        }
-        if (!elig) continue;
-        eligible = true;
-        mutex_name = fld.mutex;
-        const bool held_here = std::find(a.held.begin(), a.held.end(),
-                                         fld.mutex) != a.held.end();
-        const auto cov = covered.find(fld.mutex);
-        const bool via_caller = cov != covered.end() && cov->second[i] != npos;
-        if (held_here || via_caller) {
-          ok = true;
-          break;
-        }
-      }
-      if (!eligible || ok) continue;
-      if (!reported.insert({a.name, a.line}).second) continue;
-      if (allowed_on_line(pmdetail::allows_of(files, fn.file), "lockset-path",
-                          a.line)) {
-        continue;
-      }
-      out.push_back(
-          {fn.file, a.line, "lockset-path",
-           "'" + a.name + "' is FCR_GUARDED_BY(" + mutex_name +
-               ") but on some path through '" + fn.facts.qualified +
-               "' the mutex is not held at this access — widen the "
-               "MutexLock scope or hoist the access under it"});
-    }
-  }
-  return out;
-}
-
-/// Runs every interprocedural rule (four v3, two v4) over the tree's src/
+/// Runs every interprocedural rule (three v3, one v4) over the tree's src/
 /// files.
 inline std::vector<Finding> analyze_tree(const std::vector<TreeFile>& files) {
   const ProgramModel pm = build_program_model(files);
@@ -1726,12 +1330,10 @@ inline std::vector<Finding> analyze_tree(const std::vector<TreeFile>& files) {
   auto append = [&out](std::vector<Finding> v) {
     out.insert(out.end(), v.begin(), v.end());
   };
-  append(check_lockset(pm, files));
   append(check_rng_lineage(pm, files));
   append(check_hot_path_alloc(pm, files));
   append(check_error_provenance(pm, files));
   append(check_definite_init(pm, files));
-  append(check_lockset_path(pm, files));
   return out;
 }
 

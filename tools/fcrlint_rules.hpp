@@ -57,10 +57,10 @@
 //
 // The engine is header-only and pure (paths + contents in, findings out) so
 // tests/test_fcrlint.cpp can unit-test every rule against fixture inputs;
-// tools/fcrlint.cpp adds the filesystem walk, SARIF output, diff filtering,
-// caching, and the CLI. The shared vocabulary (Finding, kRules, allows)
-// lives in fcrlint_core.hpp; the v3 interprocedural rules in
-// fcrlint_model.hpp — lint_tree below stitches both halves together.
+// tools/fcrlint.cpp adds the filesystem walk, SARIF output and the CLI. The
+// shared vocabulary (Finding, kRules, allows) lives in fcrlint_core.hpp; the
+// interprocedural rules in fcrlint_model.hpp — lint_tree below stitches both
+// halves together.
 #pragma once
 
 #include <algorithm>
@@ -77,10 +77,6 @@
 #include "fcrlint_model.hpp"
 
 namespace fcrlint {
-
-/// Bump when any per-file rule's behavior changes; feeds the cache
-/// fingerprint (the catalogue itself is hashed separately by rule id).
-inline constexpr int kRulesRev = 2;
 
 namespace detail {
 
@@ -120,8 +116,8 @@ inline std::string_view src_subdir(std::string_view path) {
                                          : rest.substr(0, slash);
 }
 
-/// Deprecated C headers (for include-hygiene and the --fix engine, which
-/// must agree on the list): <x.h> is flagged and rewritten to <cx>.
+/// Deprecated C headers for include-hygiene: <x.h> is flagged, <cx> is the
+/// replacement.
 inline constexpr std::string_view kDeprecatedC[] = {
     "assert.h", "ctype.h",  "errno.h",  "float.h",    "inttypes.h",
     "limits.h", "locale.h", "math.h",   "setjmp.h",   "signal.h",
@@ -836,12 +832,10 @@ inline std::vector<Finding> run_file_rules(const PreparedFile& f) {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Artifacts: everything the tree analyses need per file, derived purely from
-// (path, content). Because artifacts are a pure function of the file bytes,
-// the cache layer (fcrlint_cache.hpp) can persist them keyed by a content
-// hash and a warm run never re-lexes an unchanged file. Cross-file findings
-// (include cycles, the interprocedural model rules) are recomputed from the
-// artifacts on every run — they depend on the whole tree, not one file.
+// Artifacts: everything the tree analyses need per file, derived from
+// (path, content) in one lexing pass. Cross-file findings (include cycles,
+// the interprocedural model rules) are computed from all artifacts together
+// — they depend on the whole tree, not one file.
 // ---------------------------------------------------------------------------
 
 /// One quoted include of a src/ file, as written (the text between quotes).
@@ -963,9 +957,9 @@ inline std::vector<Finding> lint_file(const std::string& path,
   return detail::run_file_rules(detail::prepare(path, content));
 }
 
-/// Combines per-file artifacts into the tree verdict: cached per-file
-/// findings plus the cross-file analyses (include cycles, the six
-/// interprocedural model rules). Findings are sorted by (file, line, rule).
+/// Combines per-file artifacts into the tree verdict: per-file findings
+/// plus the cross-file analyses (include cycles, the four interprocedural
+/// model rules). Findings are sorted by (file, line, rule).
 inline std::vector<Finding> finalize_tree(
     const std::vector<FileArtifacts>& files) {
   std::vector<Finding> out;
