@@ -62,21 +62,10 @@ void FadingContentionResolution::decide(
 }
 
 void FadingContentionResolution::columnar_feedback(
-    ColumnarState& state, std::span<const NodeId> listeners,
-    std::span<const Feedback> feedback) const {
-  // The knockout rule as a bitmask clear; deactivate() is idempotent, so
-  // already-inactive listeners (present in observed rounds) are no-ops
-  // just as FadingNode::on_round_end is for them.
-  for (std::size_t i = 0; i < listeners.size(); ++i) {
-    if (feedback[i].received) state.deactivate(listeners[i]);
-  }
-}
-
-void FadingContentionResolution::columnar_feedback_mask(
     ColumnarState& state, std::span<const std::uint64_t> received) const {
-  // Same knockout rule on the received bitmask directly. The caller only
-  // sets received bits for listeners it resolved (active non-transmitters),
-  // so every set bit is a genuine knockout.
+  // The knockout rule as bitmask clears. Materialized rounds also report
+  // listeners that are already inactive; deactivate() is idempotent, so
+  // those are no-ops just as FadingNode::on_round_end is for them.
   for (std::size_t w = 0; w < received.size(); ++w) {
     std::uint64_t bits = received[w];
     while (bits != 0) {

@@ -64,16 +64,13 @@ class FadingContentionResolution final : public Algorithm,
   void columnar_init(ColumnarState& state) const override;
   void decide(std::uint64_t round, ColumnarState& state,
               std::span<std::uint64_t> decisions) const override;
-  void columnar_feedback(ColumnarState& state,
-                         std::span<const NodeId> listeners,
-                         std::span<const Feedback> feedback) const override;
 
-  /// Feedback is exactly "deactivate every listener that received", so the
-  /// bitmask round loop can deliver it as a received-word sweep.
+  /// Feedback is exactly "deactivate every listener that received".
   FeedbackMode feedback_mode() const override {
     return FeedbackMode::kReceivedMask;
   }
-  void columnar_feedback_mask(
+  /// The knockout rule as a sweep over the received words.
+  void columnar_feedback(
       ColumnarState& state,
       std::span<const std::uint64_t> received) const override;
 

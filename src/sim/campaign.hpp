@@ -47,8 +47,8 @@ struct RetryPolicy {
 
 /// Per-trial deadline in rounds; 0 disables it. The budget caps the
 /// engine's max_rounds, so it costs nothing until it fires: the run keeps
-/// the bitmask loop. An unsolved trial that reaches it is a kTimeout
-/// failure.
+/// the columnar loop's word rounds. An unsolved trial that reaches it is a
+/// kTimeout failure.
 struct WatchdogPolicy {
   std::uint64_t round_budget = 0;  ///< rounds before the trial times out
 };

@@ -53,7 +53,7 @@ struct ShardOutcome {
 /// run_trials streams master.split(2t)/split(2t+1); attempt a > 1
 /// re-splits those base streams by the attempt number. The campaign
 /// watchdog's round budget lowers the engine's max_rounds, so the run
-/// stays on the bitmask loop; an unsolved trial that reaches the budget is
+/// stays in word rounds; an unsolved trial that reaches the budget is
 /// a kTimeout failure. On success returns the completed entry (attempts = `attempt`);
 /// on failure fills `*failure` (trial/attempt/category/message) and
 /// returns nullopt. Never throws on trial failure.

@@ -37,8 +37,6 @@ void SinrChannelAdapter::resolve_mask(
     std::span<const std::uint64_t> listen_words,
     std::size_t /*transmitter_count*/,
     std::span<std::uint64_t> received) const {
-  // No kSmallRoundCutover here: the scan only beat the batch path because
-  // of the id-vector/Reception round trip the mask path eliminates.
   resolver_.resolve_mask(dep, transmit_words, listen_words, received);
 }
 

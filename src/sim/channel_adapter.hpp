@@ -29,8 +29,9 @@ class ChannelAdapter {
   /// transmitter set, listener id): resolve() draws no per-call randomness
   /// and no cross-listener state, so resolving any subset of the listeners
   /// yields the same bits for those listeners as resolving all of them.
-  /// The columnar engine uses this to skip feedback resolution for
-  /// knocked-out listeners in unobserved runs. Adapters with per-call
+  /// The columnar engine keeps unobserved runs in bitmask words only on
+  /// such channels (with supports_mask_resolve) and then skips feedback
+  /// resolution for knocked-out listeners. Adapters with per-call
   /// randomness (Rayleigh redraws, lossy/jamming faults) must keep the
   /// default false — their rng stream position depends on the listener
   /// count, so subsetting would change the decision stream.
@@ -45,8 +46,9 @@ class ChannelAdapter {
                        std::span<Feedback> out) const = 0;
 
   /// True when the adapter implements resolve_mask. Only meaningful for
-  /// adapters that also resolve listeners independently — the bitmask
-  /// round loop requires both (see ExecutionWorkspace::run_rounds_mask).
+  /// adapters that also resolve listeners independently — the columnar
+  /// loop's word rounds require both (see
+  /// ExecutionWorkspace::run_rounds_columnar).
   virtual bool supports_mask_resolve() const { return false; }
 
   /// Bitmask form of resolve() for kReceivedMask algorithms: transmitters
@@ -72,23 +74,24 @@ class ChannelAdapter {
 };
 
 /// SINR fading channel adapter (the paper's model). Rounds are resolved by
-/// the exact-mode BatchResolver — bit-identical to SinrChannel::resolve
-/// but reusing scratch across the trial's rounds — except for SMALL rounds:
-/// below kSmallRoundCutover transmitters the batch path's multi-pass
-/// structure costs more than it saves (measured ~1.4x slower at n = 64),
-/// so those rounds go through the plain single-pass scan, which makes the
-/// same decisions bit-for-bit. The resolver and scratch are mutable
-/// per-round state, so one adapter instance must not resolve concurrently
-/// from several threads; the trial runners confine each instance to one
-/// worker.
+/// the BatchResolver — bit-identical to SinrChannel::resolve but reusing
+/// scratch across the trial's rounds — except for id-vector rounds the
+/// certified filter would not screen: below kSmallRoundCutover
+/// transmitters the plain single-pass scan makes the same decisions
+/// bit-for-bit without the batch path's extra passes. The resolver and
+/// scratch are mutable per-round state, so one adapter instance must not
+/// resolve concurrently from several threads; the trial runners confine
+/// each instance to one worker.
 class SinrChannelAdapter final : public ChannelAdapter {
  public:
-  /// Rounds with fewer transmitters than this use SinrChannel::resolve
-  /// directly instead of the BatchResolver. Chosen from BM_SinrResolve vs
-  /// BM_BatchResolve: the filter starts winning between n = 256 (~85
-  /// transmitters) and n = 1024; both paths produce identical bits, so
-  /// the constant only affects speed.
-  static constexpr std::size_t kSmallRoundCutover = 128;
+  /// Id-vector rounds with fewer transmitters than this use
+  /// SinrChannel::resolve directly instead of the BatchResolver: exactly
+  /// the rounds its filter never screens. Screened rounds win from the
+  /// filter's minimum up (BM_BatchResolve vs BM_SinrResolve, docs/PERF.md
+  /// §4.3); both paths produce identical bits, so the constant only
+  /// affects speed.
+  static constexpr std::size_t kSmallRoundCutover =
+      BatchResolver::kFilterMinTransmitters;
 
   explicit SinrChannelAdapter(SinrParams params) : resolver_(params) {}
   explicit SinrChannelAdapter(SinrChannel channel)
@@ -107,10 +110,10 @@ class SinrChannelAdapter final : public ChannelAdapter {
                std::span<const NodeId> listeners,
                std::span<Feedback> out) const override;
 
-  /// The bitmask path always routes through the BatchResolver's certified
-  /// filter (no small-round cutover): without the id-vector/Feedback
-  /// materialization the batch pipeline wins at every transmitter count
-  /// the scan used to cover (BM_ResolveMask vs BM_SinrResolve).
+  /// The bitmask path always routes through the BatchResolver (no
+  /// small-round cutover): SinrChannel's scan takes id vectors, which word
+  /// rounds never build, and on unscreened rounds the resolver's exact
+  /// scan costs about the same (BM_ResolveMask/64 vs BM_SinrResolve/64).
   bool supports_mask_resolve() const override { return true; }
   void resolve_mask(const Deployment& dep,
                     std::span<const std::uint64_t> transmit_words,

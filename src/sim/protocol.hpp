@@ -79,9 +79,11 @@ struct NodeLayout {
 ///
 /// Contract: deactivation is TERMINAL. The engine never re-sets an active
 /// bit, and an algorithm must not let a deactivated node's future decisions
-/// depend on feedback delivered after its knockout — the engine exploits
-/// this by skipping feedback resolution for inactive listeners in
-/// unobserved rounds (see ExecutionWorkspace::run_rounds_columnar).
+/// depend on feedback delivered after its knockout. The engine relies on
+/// this both ways (see ExecutionWorkspace::run_rounds_columnar): unobserved
+/// rounds resolve only the active listeners, and materialized rounds hand
+/// the feedback pass received bits of listeners that are already inactive,
+/// which deactivate() ignores (it is idempotent).
 struct ColumnarState {
   std::span<std::uint64_t> active;
   std::span<double> probability;
@@ -108,7 +110,8 @@ struct ColumnarState {
 
 /// Columnar (SoA) capability of an Algorithm: expresses one round as
 /// whole-population passes instead of n virtual dispatches — decide-all,
-/// then the channel resolves the round, then apply-feedback-all.
+/// then the channel resolves the round, then one feedback pass over the
+/// received bitmask.
 ///
 /// Bit-identity contract: for every node id, the decision bits produced by
 /// decide and the state evolution under columnar_feedback MUST match what
@@ -120,21 +123,17 @@ class ColumnarAlgorithm {
  public:
   virtual ~ColumnarAlgorithm() = default;
 
-  /// How much of the round's feedback the algorithm actually consumes.
-  /// The engine's bitmask round loop (run_rounds_mask) uses this to skip
-  /// or compress feedback resolution in unobserved runs.
+  /// How much of the round's feedback the algorithm consumes. The engine
+  /// uses this to skip channel resolution in unobserved runs.
   enum class FeedbackMode : std::uint8_t {
-    /// columnar_feedback needs the full per-listener Feedback records
-    /// (sender ids, observations). The engine must materialize them.
-    kPerListener = 0,
     /// The algorithm only cares WHICH listeners received a message: the
-    /// engine may deliver feedback as a received-bitmask via
-    /// columnar_feedback_mask instead of per-listener records.
-    kReceivedMask = 1,
-    /// Feedback-oblivious: columnar_feedback is a no-op (decay family,
-    /// backoff, aloha, sift). The engine may skip resolution entirely in
-    /// unobserved rounds.
-    kNone = 2,
+    /// engine delivers feedback as a received bitmask via
+    /// columnar_feedback.
+    kReceivedMask,
+    /// Feedback-oblivious: columnar_feedback is the default no-op (decay
+    /// family, backoff, aloha, sift). The engine skips resolution
+    /// entirely in unobserved rounds.
+    kNone,
   };
 
   /// Fills the columns the algorithm uses before round 1. The engine has
@@ -147,38 +146,19 @@ class ColumnarAlgorithm {
   virtual void decide(std::uint64_t round, ColumnarState& state,
                       std::span<std::uint64_t> decisions) const = 0;
 
-  /// Feedback pass: `feedback[i]` is what `listeners[i]` observed this
-  /// round. Transmitters learn nothing in the model (no acknowledgments),
-  /// so they are deliberately absent. Default: no-op (feedback-oblivious
-  /// algorithms like the decay family).
-  virtual void columnar_feedback(ColumnarState& state,
-                                 std::span<const NodeId> listeners,
-                                 std::span<const Feedback> feedback) const {
-    (void)state;
-    (void)listeners;
-    (void)feedback;
-  }
+  /// Declared feedback consumption; kNone requires the default no-op
+  /// columnar_feedback.
+  virtual FeedbackMode feedback_mode() const = 0;
 
-  /// Declared feedback consumption; must be consistent with
-  /// columnar_feedback (kNone ⇒ columnar_feedback is a no-op, kReceivedMask
-  /// ⇒ columnar_feedback_mask applies the identical state transition).
-  /// Default kPerListener: always safe, never skipped.
-  virtual FeedbackMode feedback_mode() const {
-    return FeedbackMode::kPerListener;
-  }
-
-  /// Bitmask form of the feedback pass for kReceivedMask algorithms:
-  /// `received` has the active/decisions word layout, bit id set when
-  /// listener id decoded a message this round. Must leave the columns in
-  /// exactly the state columnar_feedback would have. Default aborts
-  /// (only called when feedback_mode() == kReceivedMask).
-  virtual void columnar_feedback_mask(
+  /// Feedback pass: `received` has the active/decisions word layout, bit id
+  /// set when listener id decoded a message this round. Transmitters learn
+  /// nothing in the model (no acknowledgments), so their bits are never
+  /// set. Bits of inactive listeners may be set (see ColumnarState).
+  /// Default: no-op (kNone algorithms).
+  virtual void columnar_feedback(
       ColumnarState& state, std::span<const std::uint64_t> received) const {
     (void)state;
     (void)received;
-    FCR_CHECK_MSG(false,
-                  "columnar_feedback_mask called on an algorithm that did not "
-                  "declare FeedbackMode::kReceivedMask");
   }
 };
 

@@ -239,48 +239,79 @@ RunResult ExecutionWorkspace::run_rounds_columnar(
     const Deployment& dep, const Algorithm& algorithm,
     const ColumnarAlgorithm& columnar, const ChannelAdapter& channel,
     const EngineConfig& config, const RoundObserver& observer, std::size_t n) {
-  // Observed runs must hand observers / stop_when / the history the exact
-  // listener set the virtual path produces. Unobserved runs on a channel
-  // whose per-listener feedback is a pure function of the transmitter set
-  // resolve only the listeners still contending: an inactive listener's
-  // feedback is unobservable and cannot change its state (deactivation is
-  // terminal — see ColumnarState), so solved/rounds/winner stay
-  // bit-identical while the resolve pass shrinks with the active set.
+  // Word rounds: nobody observes the run and every listener's feedback is
+  // a pure function of the transmitter set, so the round stays in bitmask
+  // words end to end. Everything they skip is unobservable:
+  //   * inactive listeners are not resolved — their feedback cannot change
+  //     their state (deactivation is terminal, see ColumnarState);
+  //   * kNone rounds and empty rounds are not resolved at all;
+  //   * the stopping round is not resolved — its knockouts are state the
+  //     teardown guard destroys before anyone could look.
+  // Every other run materializes id vectors and Feedback records for the
+  // observer and makes exactly the channel.resolve calls of the reference
+  // loop, over every non-transmitter, so stateful channels (Rayleigh,
+  // lossy, jamming) draw the same streams.
   const bool observed = static_cast<bool>(observer) ||
                         static_cast<bool>(config.stop_when) ||
                         config.record_rounds;
-  const bool active_only =
-      !observed && channel.resolves_listeners_independently();
+  const bool words_only = !observed &&
+                          channel.resolves_listeners_independently() &&
+                          channel.supports_mask_resolve();
+  const bool knockouts = columnar.feedback_mode() ==
+                         ColumnarAlgorithm::FeedbackMode::kReceivedMask;
 
-  // Unobserved runs whose feedback needs fit the bitmask protocol skip the
-  // id-vector / Feedback-record materialization entirely.
-  const ColumnarAlgorithm::FeedbackMode mode = columnar.feedback_mode();
-  if (active_only &&
-      (mode == ColumnarAlgorithm::FeedbackMode::kNone ||
-       (mode == ColumnarAlgorithm::FeedbackMode::kReceivedMask &&
-        channel.supports_mask_resolve()))) {
-    return run_rounds_mask(dep, algorithm, columnar, channel, config, n);
+  const std::size_t words = col_active_.size();
+  col_listen_.assign(words, 0);
+  col_received_.assign(words, 0);
+  if (!words_only) {
+    transmitters_.reserve(n);
+    listeners_.reserve(n);
+    listener_feedback_.reserve(n);
   }
 
-  transmitters_.reserve(n);
-  listeners_.reserve(n);
-  listener_feedback_.reserve(n);
-
   RunResult result;
-  const std::size_t words = col_active_.size();
   for (std::uint64_t round = 1; round <= config.max_rounds; ++round) {
     std::fill(col_decisions_.begin(), col_decisions_.end(), std::uint64_t{0});
     columnar.decide(round, columns_, col_decisions_);
+
+    if (words_only) {
+      std::size_t tx_count = 0;
+      for (std::size_t w = 0; w < words; ++w) {
+        tx_count += static_cast<std::size_t>(std::popcount(col_decisions_[w]));
+      }
+      if (tx_count == 1 && !result.solved) {
+        result.solved = true;
+        result.rounds = round;
+        for (std::size_t w = 0; w < words; ++w) {
+          if (col_decisions_[w] != 0) {
+            result.winner = static_cast<NodeId>(
+                w * 64 + static_cast<std::size_t>(
+                             std::countr_zero(col_decisions_[w])));
+            break;
+          }
+        }
+      }
+      if (result.solved && config.stop_on_solve) return result;
+
+      if (knockouts && tx_count > 0) {
+        for (std::size_t w = 0; w < words; ++w) {
+          col_listen_[w] = col_active_[w] & ~col_decisions_[w];
+        }
+        channel.resolve_mask(dep, col_decisions_, col_listen_, tx_count,
+                             col_received_);
+        columnar.columnar_feedback(columns_, col_received_);
+      }
+      continue;
+    }
 
     transmitters_.clear();
     listeners_.clear();
     for (std::size_t w = 0; w < words; ++w) {
       std::uint64_t tx = col_decisions_[w];
-      std::uint64_t all = ~std::uint64_t{0};
+      std::uint64_t listen = ~tx;
       if (w == words - 1 && (n & 63) != 0) {
-        all = (std::uint64_t{1} << (n & 63)) - 1;
+        listen &= (std::uint64_t{1} << (n & 63)) - 1;
       }
-      std::uint64_t listen = (active_only ? col_active_[w] : all) & ~tx;
       const NodeId base = static_cast<NodeId>(w * 64);
       while (tx != 0) {
         transmitters_.push_back(base +
@@ -297,11 +328,15 @@ RunResult ExecutionWorkspace::run_rounds_columnar(
     listener_feedback_.assign(listeners_.size(), Feedback{});
     channel.resolve(dep, transmitters_, listeners_, listener_feedback_);
 
+    std::fill(col_received_.begin(), col_received_.end(), std::uint64_t{0});
     std::size_t receptions = 0;
-    for (const Feedback& f : listener_feedback_) {
-      if (f.received) ++receptions;
+    for (std::size_t i = 0; i < listeners_.size(); ++i) {
+      if (!listener_feedback_[i].received) continue;
+      ++receptions;
+      const NodeId id = listeners_[i];
+      col_received_[id >> 6] |= std::uint64_t{1} << (id & 63);
     }
-    columnar.columnar_feedback(columns_, listeners_, listener_feedback_);
+    columnar.columnar_feedback(columns_, col_received_);
 
     RoundView view;
     view.round = round;
@@ -319,69 +354,6 @@ RunResult ExecutionWorkspace::run_rounds_columnar(
     FCR_DEBUG("columnar execution of '" << algorithm.name() << "' on n=" << n
                                         << " unsolved after "
                                         << config.max_rounds << " rounds");
-  }
-  return result;
-}
-
-RunResult ExecutionWorkspace::run_rounds_mask(
-    const Deployment& dep, const Algorithm& algorithm,
-    const ColumnarAlgorithm& columnar, const ChannelAdapter& channel,
-    const EngineConfig& config, std::size_t n) {
-  // Caller (run_rounds_columnar) established: no observer/stop_when/history,
-  // the channel resolves listeners independently, and the algorithm's
-  // feedback is kNone or kReceivedMask with adapter mask support. Every
-  // divergence from the materializing loop below is therefore unobservable:
-  //   * kNone rounds never resolve the channel at all — no listener's state
-  //     can change, and solved/rounds/winner depend only on decision words;
-  //   * kReceivedMask rounds with zero transmitters skip resolution — the
-  //     received mask would be all-zero and the feedback a no-op;
-  //   * the stopping round's feedback (post-solve, stop_on_solve) is state
-  //     the teardown guard destroys before anyone could look.
-  const std::size_t words = col_active_.size();
-  const bool mask_feedback =
-      columnar.feedback_mode() == ColumnarAlgorithm::FeedbackMode::kReceivedMask;
-  col_listen_.assign(words, 0);
-  col_received_.assign(words, 0);
-
-  RunResult result;
-  for (std::uint64_t round = 1; round <= config.max_rounds; ++round) {
-    std::fill(col_decisions_.begin(), col_decisions_.end(), std::uint64_t{0});
-    columnar.decide(round, columns_, col_decisions_);
-
-    std::size_t tx_count = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      tx_count += static_cast<std::size_t>(std::popcount(col_decisions_[w]));
-    }
-
-    if (tx_count == 1 && !result.solved) {
-      result.solved = true;
-      result.rounds = round;
-      for (std::size_t w = 0; w < words; ++w) {
-        if (col_decisions_[w] != 0) {
-          result.winner = static_cast<NodeId>(
-              w * 64 + static_cast<std::size_t>(
-                           std::countr_zero(col_decisions_[w])));
-          break;
-        }
-      }
-    }
-    if (result.solved && config.stop_on_solve) return result;
-
-    if (mask_feedback && tx_count > 0) {
-      for (std::size_t w = 0; w < words; ++w) {
-        col_listen_[w] = col_active_[w] & ~col_decisions_[w];
-      }
-      channel.resolve_mask(dep, col_decisions_, col_listen_, tx_count,
-                           col_received_);
-      columnar.columnar_feedback_mask(columns_, col_received_);
-    }
-  }
-
-  if (!result.solved) {
-    result.rounds = config.max_rounds;
-    FCR_DEBUG("mask execution of '" << algorithm.name() << "' on n=" << n
-                                    << " unsolved after " << config.max_rounds
-                                    << " rounds");
   }
   return result;
 }

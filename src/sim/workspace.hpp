@@ -13,8 +13,9 @@
 //     virtual dispatch; the columns follow the same reserve-then-refill
 //     idiom as the round buffers, so warm columnar runs also allocate zero
 //     bytes;
-//   * the round buffers (transmitters, listeners, listener feedback), which
-//     only ever shrink-to-reuse via clear()/assign();
+//   * the round buffers (transmitters, listeners, listener feedback) of
+//     the reference loop and of materialized columnar rounds, which only
+//     ever shrink-to-reuse via clear()/assign();
 //   * a per-worker FACTORY CACHE keyed by (trial batch, deployment
 //     generation): run_trials_parallel's factories are pure functions of
 //     the deployment, so when consecutive trials on a worker see the same
@@ -113,11 +114,18 @@ class ExecutionWorkspace {
                        const ChannelAdapter& channel, const EngineConfig& config,
                        const RoundObserver& observer, std::size_t n);
 
-  /// Columnar round loop: decide -> resolve -> apply-feedback-all over the
-  /// flat columns, bit-identical to run_rounds for the same arguments.
-  /// Unobserved runs on channels that resolve listeners independently skip
-  /// feedback for knocked-out listeners (their feedback is unobservable
-  /// and cannot change state — deactivation is terminal).
+  /// Columnar round loop: decide -> resolve -> one columnar_feedback pass
+  /// over the received bitmask, bit-identical to run_rounds for the same
+  /// arguments. A flag fixed per run picks one of two round branches:
+  ///   * word rounds, for unobserved runs on a channel that resolves
+  ///     listeners independently and supports resolve_mask: solo check on
+  ///     the decision words, then resolve_mask over the active listeners
+  ///     only (no resolution at all for kNone algorithms, empty rounds or
+  ///     the stopping round);
+  ///   * materialized rounds, for everything else (observer, stop_when,
+  ///     record_rounds, stateful channels): id vectors and Feedback
+  ///     records for every non-transmitter, exactly as run_rounds resolves
+  ///     them, folded into the received bitmask for the feedback pass.
   RunResult run_rounds_columnar(const Deployment& dep,
                                 const Algorithm& algorithm,
                                 const ColumnarAlgorithm& columnar,
@@ -125,21 +133,6 @@ class ExecutionWorkspace {
                                 const EngineConfig& config,
                                 const RoundObserver& observer,
                                 std::size_t n);
-
-  /// Bitmask round loop for unobserved runs whose feedback needs can be
-  /// served without materializing listener id vectors or Feedback records:
-  /// decide -> popcount/solo-check the decision words ->
-  /// ChannelAdapter::resolve_mask into the received bitmask ->
-  /// columnar_feedback_mask. Requires a channel that resolves listeners
-  /// independently and an algorithm whose feedback_mode() is kNone or
-  /// kReceivedMask (with adapter mask support); bit-identical outcomes to
-  /// run_rounds_columnar — the only skipped work (resolution after the
-  /// stopping round, empty-transmitter rounds, per-listener records) is
-  /// unobservable once the run returns.
-  RunResult run_rounds_mask(const Deployment& dep, const Algorithm& algorithm,
-                            const ColumnarAlgorithm& columnar,
-                            const ChannelAdapter& channel,
-                            const EngineConfig& config, std::size_t n);
 
   /// Round epilogue shared by both loops: solo detection, history
   /// recording, observer / stop_when delivery. Returns true when the run
@@ -177,8 +170,8 @@ class ExecutionWorkspace {
   LaneRng lanes_;
   ColumnarState columns_;
 
-  // Bitmask round-loop scratch (listener and received masks, decision-word
-  // layout).
+  // Columnar round-loop scratch: the word rounds' listen mask and the
+  // received mask the feedback pass reads (decision-word layout).
   std::vector<std::uint64_t> col_listen_;
   std::vector<std::uint64_t> col_received_;
 

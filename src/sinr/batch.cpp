@@ -22,21 +22,16 @@
 namespace fcr {
 namespace {
 
-/// Accumulator lanes for the blocked scan loops and listeners per block of
-/// the bitmask sweep. Eight doubles fill an AVX-512 register (or two AVX2
-/// ones); GCC vectorizes the fixed-trip inner loops where it refuses to
-/// vectorize a plain FP reduction.
+/// Listeners per block of the filter sweep, and accumulator lanes of
+/// pass_argmin. Eight doubles fill an AVX-512 register (or two AVX2 ones).
 constexpr std::size_t kLanes = 8;
 
-/// Below this many transmitters the filter's fixed overhead beats its
-/// savings; go straight to the exact scan.
-constexpr std::size_t kFilterMinTransmitters = 16;
-
 /// Certification margin for the reciprocal-sqrt filter (alpha = 3).
-/// fast_rsqrt's measured worst-case relative error over [1e-6, 1e12] is
-/// 4.6e-6, so a signal term P*y^3 is off by at most ~1.4e-5 relative;
-/// 1e-4 leaves a >6x safety factor that also swallows summation-order
-/// rounding and the cancellation in (total - best).
+/// pass_block's rsqrt (magic-constant seed plus two Newton steps) has a
+/// measured worst-case relative error of 4.6e-6 over [1e-6, 1e12], so a
+/// signal term P*y^3 is off by at most ~1.4e-5 relative; 1e-4 leaves a
+/// >6x safety factor that also swallows summation-order rounding and the
+/// cancellation in (total - best).
 constexpr double kEpsRsqrt = 1e-4;
 
 /// Certification margin when the filter's terms are computed EXACTLY
@@ -49,20 +44,8 @@ constexpr double kEpsReassoc = 1e-9;
 /// exact scan (d2 this small means nodes ~1e-150 apart — never legitimate).
 constexpr double kMinNormalD2 = 1e-300;
 
-/// Robertson's 64-bit magic constant: the seed of fast_rsqrt and of its
-/// lane form in pass_block.
+/// Robertson's 64-bit magic constant: the seed of pass_block's rsqrt.
 constexpr std::uint64_t kRsqrtMagic = 0x5FE6EB50C7B537A9ULL;
-
-/// Approximate 1/sqrt(x) for normal positive doubles: the classic
-/// magic-constant seed plus two Newton-Raphson steps. Relative error
-/// <= ~5e-6; see kEpsRsqrt.
-inline double fast_rsqrt(double x) {
-  double y = std::bit_cast<double>(kRsqrtMagic -
-                                   (std::bit_cast<std::uint64_t>(x) >> 1));
-  y = y * (1.5 - 0.5 * x * y * y);
-  y = y * (1.5 - 0.5 * x * y * y);
-  return y;
-}
 
 /// Screening margin of the filter's approximate total power for `kind`.
 double screening_eps(AlphaKind kind) {
@@ -108,27 +91,6 @@ std::size_t pass_argmin(const double* d2, std::size_t n, double& min_out) {
   return 0;
 }
 
-/// Lane-blocked sum of term(d2[j]) over all transmitters. Approximate by
-/// design: the reduction order differs from pairwise_sum, and `term` may
-/// itself be approximate (rsqrt). Only feeds the certification filter.
-template <typename Term>
-double pass_sum(const double* d2, std::size_t n, Term term) {
-  double acc[kLanes] = {};
-  std::size_t j = 0;
-  for (; j + kLanes <= n; j += kLanes) {
-    // This bound only screens candidates; the screening margin absorbs the
-    // reduction-order error (the decisive sums use pairwise_sum).
-    // FCRLINT_ALLOW(fp-accumulate): lane-blocked screening-only sum.
-    for (std::size_t k = 0; k < kLanes; ++k) acc[k] += term(d2[j + k]);
-  }
-  double total = 0.0;
-  // FCRLINT_ALLOW(fp-accumulate): tail of the same screening-only sum.
-  for (; j < n; ++j) total += term(d2[j]);
-  // FCRLINT_ALLOW(fp-accumulate): lane fold of the same screening-only sum.
-  for (std::size_t k = 0; k < kLanes; ++k) total += acc[k];
-  return total;
-}
-
 /// kLanes listeners as one GCC/Clang vector value (the vector_size
 /// extension): arithmetic and comparisons are elementwise, a scalar
 /// operand is broadcast to every lane, and a cast between same-size vector
@@ -139,10 +101,10 @@ typedef double Lanes __attribute__((vector_size(kLanes * sizeof(double))));
 typedef std::uint64_t LaneBits
     __attribute__((vector_size(kLanes * sizeof(std::uint64_t))));
 
-/// Listener-blocked fused filter sweep for the bitmask path: resolves
-/// kLanes listeners at once against the whole transmitter set, producing
-/// each listener's exact minimum squared distance and its approximate
-/// total-power screening sum in ONE pass over the transmitter arrays.
+/// Listener-blocked fused filter sweep: resolves kLanes listeners at once
+/// against the whole transmitter set, producing each listener's exact
+/// minimum squared distance and its approximate total-power screening sum
+/// in ONE pass over the transmitter arrays.
 ///
 /// The vector dimension is LISTENERS: each transmitter is broadcast and
 /// updates all eight lanes, so every transmitter load is amortized over
@@ -155,18 +117,20 @@ typedef std::uint64_t LaneBits
 /// Each lane computes d2 with pass_d2's contraction-free expression, so
 /// the minimum is the exact double the reference scan finds (the minimum
 /// of a fixed non-NaN set is fold-order independent; NaN distances never
-/// win, as in pass_argmin). The screening terms are fast_rsqrt's and
-/// resolve_plain's expressions, lane by lane; IEEE elementwise operations
-/// round exactly like scalar ones. The screening sum's four chains round
-/// differently than pass_sum's lane-blocked order, but the certification
-/// margins only need |error| <= eps, which both orders satisfy with the
-/// same n * 2^-53 bound (see kEpsReassoc). The mask path never needs the
-/// argmin INDEX (received bits carry no sender id), so no index lanes are
-/// tracked at all.
+/// win, as in pass_argmin). The screening terms are approximate (the
+/// alpha = 3 rsqrt) or exact up to summation order, and the certification
+/// margins only need |error| <= eps (see kEpsRsqrt, kEpsReassoc). No
+/// argmin INDEX is tracked: only listeners that decode need a sender, and
+/// the id front end looks theirs up afterwards (BatchResolver::nearest).
+///
+/// Always inlined into the pipeline: GCC 12 otherwise emits the alpha = 3
+/// instantiation out of line (nm -C batch.cpp.o shows it), and the sweep
+/// measured about 10% slower that way on BM_ResolveMask/4096.
 template <AlphaKind kKind>
-void pass_block(const double* __restrict txx, const double* __restrict txy,
-                std::size_t t, const Lanes& lx, const Lanes& ly, double p,
-                Lanes& mm_out, Lanes& sum_out) {
+[[gnu::always_inline]] inline void pass_block(
+    const double* __restrict txx, const double* __restrict txy,
+    std::size_t t, const Lanes& lx, const Lanes& ly, double p, Lanes& mm_out,
+    Lanes& sum_out) {
   const auto step = [&](std::size_t j, Lanes& acc, Lanes& mm) {
     const Lanes dx = lx - txx[j];
     const Lanes dy = ly - txy[j];
@@ -263,18 +227,12 @@ void BatchResolver::resolve(const Deployment& dep,
                             std::span<const NodeId> listeners,
                             std::vector<Reception>& out) {
   out.assign(listeners.size(), Reception{});
-  stats_ = Stats{};
-  stats_.listeners = listeners.size();
-  if (transmitters.empty()) {
-    stats_.unfiltered = listeners.size();
-    return;
-  }
-
   tx_ids_.assign(transmitters.begin(), transmitters.end());
   load_positions(dep);
-  for (std::size_t i = 0; i < listeners.size(); ++i) {
-    out[i] = resolve_plain(dep.position(listeners[i]));
-  }
+  resolve_listeners(dep, listeners, /*senders=*/true,
+                    [&out](std::size_t i, NodeId sender) {
+                      out[i].sender = sender;
+                    });
 }
 
 std::vector<Reception> BatchResolver::resolve(
@@ -293,72 +251,61 @@ void BatchResolver::resolve_mask(const Deployment& dep,
                  "received mask word count mismatch: " << received_out.size()
                                                        << " vs "
                                                        << listen_words.size());
-  stats_ = Stats{};
   std::fill(received_out.begin(), received_out.end(), std::uint64_t{0});
-
-  // Flat transmitter snapshot straight from the decision words; countr_zero
-  // enumerates set bits in ascending id order, matching the id-vector path.
-  tx_ids_.clear();
-  for (std::size_t w = 0; w < transmit_words.size(); ++w) {
-    std::uint64_t bits = transmit_words[w];
-    const NodeId base = static_cast<NodeId>(w * 64);
-    while (bits != 0) {
-      tx_ids_.push_back(base + static_cast<NodeId>(std::countr_zero(bits)));
-      bits &= bits - 1;
-    }
-  }
-  if (tx_ids_.empty()) {
-    for (const std::uint64_t bits : listen_words) {
-      stats_.listeners += static_cast<std::size_t>(std::popcount(bits));
-    }
-    stats_.unfiltered = stats_.listeners;
-    return;
-  }
-  load_positions(dep);
-
-  // Rounds eligible for the certified filter go through the
-  // listener-blocked sweep (kLanes listeners per transmitter pass);
-  // small or generic-alpha rounds keep the per-listener exact pipeline.
-  if (tx_ids_.size() >= kFilterMinTransmitters &&
-      channel_.alpha_kind() != AlphaKind::kGeneric) {
-    resolve_mask_filtered(dep, listen_words, received_out);
-    return;
-  }
-
-  for (std::size_t w = 0; w < listen_words.size(); ++w) {
-    std::uint64_t bits = listen_words[w];
-    std::uint64_t rec = 0;
-    while (bits != 0) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      const auto id = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
-      ++stats_.listeners;
-      if (resolve_plain(dep.position(id)).received()) {
-        rec |= std::uint64_t{1} << b;
+  // countr_zero enumerates set bits in ascending id order, so these are
+  // the id vectors resolve() would get for the same round.
+  const auto ids_of = [](std::span<const std::uint64_t> words,
+                         std::vector<NodeId>& ids) {
+    ids.clear();
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      std::uint64_t bits = words[w];
+      const NodeId base = static_cast<NodeId>(w * 64);
+      while (bits != 0) {
+        ids.push_back(base + static_cast<NodeId>(std::countr_zero(bits)));
+        bits &= bits - 1;
       }
     }
-    received_out[w] = rec;
-  }
+  };
+  ids_of(transmit_words, tx_ids_);
+  ids_of(listen_words, listen_ids_);
+  load_positions(dep);
+  resolve_listeners(dep, listen_ids_, /*senders=*/false,
+                    [this, received_out](std::size_t i, NodeId /*sender*/) {
+                      const NodeId id = listen_ids_[i];
+                      received_out[id >> 6] |= std::uint64_t{1} << (id & 63);
+                    });
 }
 
-void BatchResolver::resolve_mask_filtered(
-    const Deployment& dep, std::span<const std::uint64_t> listen_words,
-    std::span<std::uint64_t> received_out) {
+template <typename Decoded>
+void BatchResolver::resolve_listeners(const Deployment& dep,
+                                      std::span<const NodeId> listeners,
+                                      bool senders, Decoded decoded) {
+  stats_ = Stats{};
+  stats_.listeners = listeners.size();
   const std::size_t t = tx_ids_.size();
-  const double p = channel_.params().power;
   const AlphaKind kind = channel_.alpha_kind();
+  if (t < kFilterMinTransmitters || kind == AlphaKind::kGeneric) {
+    stats_.unfiltered = listeners.size();
+    if (t == 0) return;
+    for (std::size_t i = 0; i < listeners.size(); ++i) {
+      const Reception r = exact(dep.position(listeners[i]));
+      if (r.received()) decoded(i, r.sender);
+    }
+    return;
+  }
+
+  const double p = channel_.params().power;
   const double eps = screening_eps(kind);
-
-  // Listener block staged from the bitmask enumeration: ids visit in the
-  // same ascending order as the per-listener loop, so per-listener throws
-  // (colocated nodes) fire at the same listener.
-  std::size_t word_of[kLanes] = {};
-  int bit_of[kLanes] = {};
-  Lanes lx = {}, ly = {};
-  Lanes mm = {}, stotal = {};
-  std::size_t fill = 0;
-
-  auto flush_block = [&]() {
+  Lanes lx = {}, ly = {}, mm = {}, stotal = {};
+  for (std::size_t base = 0; base < listeners.size(); base += kLanes) {
+    // A ragged last block repeats its last listener in the empty lanes,
+    // whose verdicts are never read: every listener is screened once.
+    const std::size_t fill = std::min(kLanes, listeners.size() - base);
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      const Vec2 v = dep.position(listeners[base + std::min(k, fill - 1)]);
+      lx[k] = v.x;
+      ly[k] = v.y;
+    }
     switch (kind) {
       case AlphaKind::kTwo:
         pass_block<AlphaKind::kTwo>(tx_x_.data(), tx_y_.data(), t, lx, ly, p,
@@ -377,58 +324,34 @@ void BatchResolver::resolve_mask_filtered(
                                     mm, stotal);
         break;
       case AlphaKind::kGeneric:
-        FCR_CHECK_MSG(false, "generic alpha has no filtered mask path");
+        FCR_CHECK_MSG(false, "generic alpha has no filtered path");
     }
-    for (std::size_t k = 0; k < kLanes; ++k) {
+    // Lanes in listener order, so a colocated listener throws at the same
+    // listener as in the reference scan.
+    for (std::size_t k = 0; k < fill; ++k) {
       FCR_ENSURE_ARG(mm[k] > 0.0,
                      "signal at zero distance is undefined (colocated nodes)");
-      bool rec = false;
+      const Vec2 v{lx[k], ly[k]};
       switch (certify(channel_, mm[k], stotal[k], eps)) {
         case Verdict::kDecodes:
           ++stats_.certified;
-          rec = true;
+          decoded(base + k, senders ? tx_ids_[nearest(v)] : kInvalidNode);
           break;
         case Verdict::kSilent:
           ++stats_.certified;
           break;
-        case Verdict::kUnsure:
-          // The per-listener pipeline books this listener itself and
-          // reproduces the reference bit exactly.
-          rec = resolve_plain(Vec2{lx[k], ly[k]}).received();
+        case Verdict::kUnsure: {
+          ++stats_.exact_fallbacks;
+          const Reception r = exact(v);
+          if (r.received()) decoded(base + k, r.sender);
           break;
+        }
       }
-      if (rec) {
-        received_out[word_of[k]] |= std::uint64_t{1} << bit_of[k];
-      }
-    }
-    fill = 0;
-  };
-
-  for (std::size_t w = 0; w < listen_words.size(); ++w) {
-    std::uint64_t bits = listen_words[w];
-    while (bits != 0) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      const auto id = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
-      ++stats_.listeners;
-      const Vec2 pos = dep.position(id);
-      word_of[fill] = w;
-      bit_of[fill] = b;
-      lx[fill] = pos.x;
-      ly[fill] = pos.y;
-      if (++fill == kLanes) flush_block();
-    }
-  }
-  // Ragged tail: fewer than kLanes listeners left — the per-listener
-  // pipeline costs the same as padding would and needs no phantom lanes.
-  for (std::size_t k = 0; k < fill; ++k) {
-    if (resolve_plain(Vec2{lx[k], ly[k]}).received()) {
-      received_out[word_of[k]] |= std::uint64_t{1} << bit_of[k];
     }
   }
 }
 
-Reception BatchResolver::resolve_plain(Vec2 v) {
+std::size_t BatchResolver::nearest(Vec2 v) {
   const std::size_t t = tx_ids_.size();
   d2_.resize(t);
   pass_d2(tx_x_.data(), tx_y_.data(), t, v.x, v.y, d2_.data());
@@ -436,51 +359,11 @@ Reception BatchResolver::resolve_plain(Vec2 v) {
   const std::size_t best = pass_argmin(d2_.data(), t, mm);
   FCR_ENSURE_ARG(mm > 0.0,
                  "signal at zero distance is undefined (colocated nodes)");
-
-  const AlphaKind kind = channel_.alpha_kind();
-  if (t < kFilterMinTransmitters || kind == AlphaKind::kGeneric) {
-    ++stats_.unfiltered;
-    return resolve_exact(best);
-  }
-
-  const double p = channel_.params().power;
-  double stotal = 0.0;
-  switch (kind) {
-    case AlphaKind::kTwo:
-      stotal = pass_sum(d2_.data(), t, [p](double x) { return p / x; });
-      break;
-    case AlphaKind::kThree:
-      stotal = pass_sum(d2_.data(), t, [p](double x) {
-        const double y = fast_rsqrt(x);
-        return p * (y * y * y);
-      });
-      break;
-    case AlphaKind::kFour:
-      stotal = pass_sum(d2_.data(), t, [p](double x) { return p / (x * x); });
-      break;
-    case AlphaKind::kSix:
-      stotal =
-          pass_sum(d2_.data(), t, [p](double x) { return p / (x * x * x); });
-      break;
-    case AlphaKind::kGeneric:
-      break;  // unreachable (gated above)
-  }
-
-  switch (certify(channel_, mm, stotal, screening_eps(kind))) {
-    case Verdict::kDecodes:
-      ++stats_.certified;
-      return Reception{tx_ids_[best]};
-    case Verdict::kSilent:
-      ++stats_.certified;
-      return Reception{};
-    case Verdict::kUnsure:
-      break;
-  }
-  ++stats_.exact_fallbacks;
-  return resolve_exact(best);
+  return best;
 }
 
-Reception BatchResolver::resolve_exact(std::size_t best) {
+Reception BatchResolver::exact(Vec2 v) {
+  const std::size_t best = nearest(v);
   const std::size_t t = tx_ids_.size();
   sig_.resize(t);
   for (std::size_t j = 0; j < t; ++j) {

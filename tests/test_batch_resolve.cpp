@@ -1,12 +1,15 @@
 // BatchResolver equivalence suite: both batched entry points — the
-// id-vector resolve() and the bitmask resolve_mask() — must return
-// BIT-IDENTICAL decisions to SinrChannel::resolve across path-loss
-// exponents (fast paths and the generic pow path), deployment shapes, round
-// sizes at the edges of the listener-blocked sweep, near-threshold
-// listeners that defeat the certified filter, and repeated
-// scratch-reusing calls.
+// id-vector resolve() and the bitmask resolve_mask() — and the
+// SinrChannelAdapter in front of them must return BIT-IDENTICAL decisions
+// (and, where reported, senders) to SinrChannel::resolve across path-loss
+// exponents (fast paths and the generic pow path), deployment shapes,
+// round sizes at the edges of the listener-blocked sweep and of the
+// adapter's small-round cutover, shuffled transmitter orders, exact
+// distance ties, near-threshold listeners that defeat the certified
+// filter, and repeated scratch-reusing calls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -16,6 +19,8 @@
 
 #include "deploy/generators.hpp"
 #include "geom/point.hpp"
+#include "point_sets.hpp"
+#include "sim/channel_adapter.hpp"
 #include "sinr/batch.hpp"
 #include "sinr/channel.hpp"
 #include "util/rng.hpp"
@@ -44,6 +49,13 @@ void split_nodes(const Deployment& dep, double p, Rng& rng,
   }
 }
 
+/// Fisher-Yates shuffle driven by the test's own stream.
+void shuffle(std::vector<NodeId>& ids, Rng& rng) {
+  for (std::size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.uniform_int(i)]);
+  }
+}
+
 /// Exactly `tx_count` transmitters and `listen_count` listeners drawn
 /// without replacement, each set in ascending id order (the order the
 /// bitmask path enumerates them in).
@@ -52,9 +64,7 @@ void split_sized(const Deployment& dep, std::size_t tx_count,
                  std::vector<NodeId>& tx, std::vector<NodeId>& listeners) {
   std::vector<NodeId> ids(dep.size());
   for (NodeId i = 0; i < dep.size(); ++i) ids[i] = i;
-  for (std::size_t i = ids.size(); i > 1; --i) {
-    std::swap(ids[i - 1], ids[rng.uniform_int(i)]);
-  }
+  shuffle(ids, rng);
   std::vector<bool> is_tx(dep.size(), false), is_listener(dep.size(), false);
   for (std::size_t i = 0; i < tx_count; ++i) is_tx[ids[i]] = true;
   for (std::size_t i = tx_count; i < tx_count + listen_count; ++i) {
@@ -90,9 +100,12 @@ void expect_stats_partition(const BatchResolver::Stats& stats,
   }
 }
 
-/// Resolves one round through both BatchResolver entry points and checks
-/// every listener against the reference SinrChannel::resolve, plus the
-/// Stats partition of each call.
+/// Resolves one round through both BatchResolver entry points and a
+/// SinrChannelAdapter and checks every listener against the reference
+/// SinrChannel::resolve, plus the Stats partition of each resolver call.
+/// resolve() and the adapter see `tx` in the given order; resolve_mask()
+/// enumerates ascending ids, so its reference resolves the ascending set
+/// (interference sums follow transmitter order).
 void expect_matches_reference(const Deployment& dep,
                               const SinrChannel& channel,
                               BatchResolver& resolver,
@@ -112,15 +125,30 @@ void expect_matches_reference(const Deployment& dep,
   expect_stats_partition(resolver.last_stats(), listeners.size(), filtered,
                          where + " resolve");
 
+  const SinrChannelAdapter adapter(channel);
+  std::vector<Feedback> feedback(listeners.size());
+  adapter.resolve(dep, tx, listeners, feedback);
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(feedback[i].received, reference[i].received())
+        << where << " adapter listener " << listeners[i];
+    EXPECT_EQ(feedback[i].sender, reference[i].sender)
+        << where << " adapter listener " << listeners[i];
+  }
+
+  std::vector<NodeId> ascending = tx;
+  std::sort(ascending.begin(), ascending.end());
+  const auto mask_reference = ascending == tx
+                                  ? reference
+                                  : channel.resolve(dep, ascending, listeners);
   const auto listen_words = to_words(listeners, dep.size());
   // Pre-filled with ones: resolve_mask must overwrite every word.
   std::vector<std::uint64_t> received(listen_words.size(), ~std::uint64_t{0});
   resolver.resolve_mask(dep, to_words(tx, dep.size()), listen_words,
                         received);
-  for (std::size_t i = 0; i < reference.size(); ++i) {
+  for (std::size_t i = 0; i < mask_reference.size(); ++i) {
     const NodeId id = listeners[i];
     const bool bit = ((received[id / 64] >> (id % 64)) & 1u) != 0;
-    EXPECT_EQ(bit, reference[i].received())
+    EXPECT_EQ(bit, mask_reference[i].received())
         << where << " resolve_mask listener " << id;
   }
   for (std::size_t w = 0; w < received.size(); ++w) {
@@ -134,16 +162,19 @@ void expect_matches_reference(const Deployment& dep,
 TEST(BatchResolve, BitIdenticalAcrossAlphasAndShapes) {
   // alpha 2.5 exercises the generic-pow (always-exact) path; 3 the rsqrt
   // filter; 2/4/6 the exact-term filters. Besides a random split, each
-  // deployment runs rounds sized at the edges of the mask path's
-  // listener-blocked sweep: 15/16/17 transmitters straddle the filter's
-  // minimum, transmitter counts cover every residue mod 4 (the sweep's
-  // chain unroll), and listener counts leave ragged blocks of 1-7.
+  // deployment runs rounds sized at the edges of the listener-blocked
+  // sweep: 15/16/17 transmitters straddle the filter's minimum (and the
+  // adapter's small-round cutover), transmitter counts cover every
+  // residue mod 4 (the sweep's chain unroll), and listener counts leave
+  // ragged blocks of 1-7. Each sized round runs again with its
+  // transmitter span shuffled, so senders must follow span order.
   const std::pair<std::size_t, std::size_t> sized_rounds[] = {
       {15, 37}, {16, 8}, {17, 23}, {18, 9}, {19, 100}, {73, 95}, {130, 61}};
   for (const double alpha : {2.0, 2.5, 3.0, 4.0, 6.0}) {
     Rng rng(1000 + static_cast<std::uint64_t>(alpha * 10.0));
     for (int shape = 0; shape < 6; ++shape) {
       Rng trial_rng = rng.split(static_cast<std::uint64_t>(shape));
+      Rng shuffle_rng = rng.split(100 + static_cast<std::uint64_t>(shape));
       const Deployment dep = shaped_deployment(shape, 240, trial_rng);
       const SinrParams params =
           SinrParams::for_longest_link(alpha, 1.5, 1e-9, dep.max_link());
@@ -158,12 +189,40 @@ TEST(BatchResolve, BitIdenticalAcrossAlphasAndShapes) {
                                where + " random split");
       for (const auto& [tx_count, listen_count] : sized_rounds) {
         split_sized(dep, tx_count, listen_count, trial_rng, tx, listeners);
-        expect_matches_reference(
-            dep, channel, resolver, tx, listeners,
-            where + " tx " + std::to_string(tx_count) + " listeners " +
-                std::to_string(listen_count));
+        const std::string round = where + " tx " + std::to_string(tx_count) +
+                                  " listeners " + std::to_string(listen_count);
+        expect_matches_reference(dep, channel, resolver, tx, listeners, round);
+        shuffle(tx, shuffle_rng);
+        expect_matches_reference(dep, channel, resolver, tx, listeners,
+                                 round + " shuffled");
       }
     }
+
+    // An exact lattice with a transmitter on every fourth row and column:
+    // most listeners tie exactly between two or four nearest transmitters,
+    // and beta < 1 lets tied listeners decode, so a decoded sender must be
+    // the FIRST tied transmitter in span order.
+    const Deployment grid(point_sets::lattice(16, 16, 1.0));
+    const SinrParams params =
+        SinrParams::for_longest_link(alpha, 0.25, 1e-9, grid.max_link());
+    const SinrChannel channel(params);
+    BatchResolver resolver(params);
+    std::vector<NodeId> tx, listeners, tied;
+    for (NodeId id = 0; id < grid.size(); ++id) {
+      const NodeId row = id / 16, col = id % 16;
+      (row % 4 == 0 && col % 4 == 0 ? tx : listeners).push_back(id);
+      if (row % 4 == 0 && col % 4 == 2) tied.push_back(id);
+    }
+    const std::string where = "alpha " + std::to_string(alpha) + " lattice";
+    std::size_t tied_decodes = 0;
+    for (const Reception& r : channel.resolve(grid, tx, tied)) {
+      if (r.received()) ++tied_decodes;
+    }
+    EXPECT_GT(tied_decodes, 0u) << where;
+    expect_matches_reference(grid, channel, resolver, tx, listeners, where);
+    shuffle(tx, rng);
+    expect_matches_reference(grid, channel, resolver, tx, listeners,
+                             where + " shuffled");
   }
 }
 
@@ -189,11 +248,11 @@ TEST(BatchResolve, FilterCertifiesTheBulkOfListeners) {
 TEST(BatchResolve, NearThresholdListenersFallBackBitIdentically) {
   // Every listener sits within 1e-12 relative of the decoding threshold,
   // closer than any certification margin (1e-9 for the exact-term
-  // filters, 1e-4 for rsqrt), so every lane of the mask path's blocked
-  // sweep — two full blocks and a ragged tail of three — must fall back
-  // to the exact scan and still land on the reference bit. Listeners
-  // alternate between the decoding and the silent side of the threshold,
-  // so a lane-to-bit mix-up shows as a flipped bit.
+  // filters, 1e-4 for rsqrt), so every lane of the blocked sweep — two
+  // full blocks and a padded last block of three — must fall back to the
+  // exact scan and still land on the reference bit, through both entry
+  // points. Listeners alternate between the decoding and the silent side
+  // of the threshold, so a lane-to-bit mix-up shows as a flipped bit.
   constexpr std::size_t kTx = 20;
   constexpr std::size_t kListeners = 19;
   Rng rng(2024);
@@ -256,6 +315,9 @@ TEST(BatchResolve, NearThresholdListenersFallBackBitIdentically) {
     EXPECT_LT(decoding, listeners.size()) << where;
 
     BatchResolver resolver(params);
+    (void)resolver.resolve(dep, tx, listeners);
+    EXPECT_EQ(resolver.last_stats().exact_fallbacks, kListeners)
+        << where << " resolve";
     expect_matches_reference(dep, channel, resolver, tx, listeners, where);
     // The last call was resolve_mask: every listener was screened in a
     // filter-eligible round and none could be certified.
@@ -319,7 +381,8 @@ TEST(BatchResolve, ColocatedListenerThrowsLikeTheReference) {
   // An id appearing as both transmitter and listener is a zero-distance
   // link; every path must reject it the same way (the documented single
   // colocation behavior). The mask cases put the shared id in a full
-  // sweep block, in the ragged tail, and in a round too small to filter.
+  // sweep block, in the padded last block, and in a round too small to
+  // filter.
   Rng rng(8);
   const Deployment dep = uniform_square(40, 8.0, rng).normalized();
   const SinrParams params =
@@ -336,7 +399,7 @@ TEST(BatchResolve, ColocatedListenerThrowsLikeTheReference) {
 
   // Transmitters [tx_begin, tx_end), listeners [listen_begin, listen_end):
   // shared id 19 in lane 0 of the first sweep block; shared id 20 in the
-  // ragged tail after two full blocks; shared id 9 in a 10-transmitter
+  // padded last block after two full ones; shared id 9 in a 10-transmitter
   // round below the filter's minimum.
   const struct {
     NodeId tx_begin, tx_end, listen_begin, listen_end;

@@ -404,6 +404,23 @@ TEST(FcrlintLayering, UnknownDirectoryIsAFinding) {
   EXPECT_NE(findings[0].message.find("kLayerOrder"), std::string::npos);
 }
 
+TEST(FcrlintLayering, SummaryAndRationaleNameEveryLayer) {
+  // --list-rules and --explain print the layer order from prose; it must
+  // match the enforced kLayerOrder entry for entry.
+  const std::string order = fcrlint::detail::layer_order_string();
+  const auto rule =
+      std::find_if(fcrlint::kRules.begin(), fcrlint::kRules.end(),
+                   [](const fcrlint::RuleMeta& r) { return r.id == "layering"; });
+  ASSERT_NE(rule, fcrlint::kRules.end());
+  const fcrlint::RuleExplanation* explanation =
+      fcrlint::explain_rule("layering");
+  ASSERT_NE(explanation, nullptr);
+  for (const std::string_view text : {rule->summary, explanation->rationale}) {
+    EXPECT_NE(text.find(order), std::string_view::npos)
+        << "'" << text << "' does not give the layer order " << order;
+  }
+}
+
 TEST(FcrlintLayering, AllowSuppressesUpwardEdge) {
   const std::string src =
       "#pragma once\n"

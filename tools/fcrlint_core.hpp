@@ -68,7 +68,7 @@ inline constexpr std::array<RuleMeta, 16> kRules = {{
     {"layering",
      "src/ includes must respect the layer order util -> stats -> geom -> "
      "radio -> deploy -> sinr -> sim -> core -> lowerbound -> algorithms -> "
-     "ext, with no upward edges and no include cycles"},
+     "ext -> fabric, with no upward edges and no include cycles"},
     {"fp-accumulate",
      "floating-point reductions in src/sinr/ and src/sim/ must use "
      "fcr::pairwise_sum (src/sinr/accumulate.hpp), not std::accumulate or "
@@ -299,8 +299,9 @@ inline const RuleExplanation* explain_rule(std::string_view rule) {
         "(not suppressible — fix the annotation instead)"}},
       {"layering",
        {"The dependency order util -> stats -> geom -> radio -> deploy -> "
-        "sinr -> sim -> core -> lowerbound -> algorithms -> ext keeps the "
-        "simulator buildable in slices; upward edges and cycles rot first.",
+        "sinr -> sim -> core -> lowerbound -> algorithms -> ext -> fabric "
+        "keeps the simulator buildable in slices; upward edges and cycles "
+        "rot first.",
         "  // in src/util/: #include \"sim/engine.hpp\"  (upward edge)",
         "// FCRLINT_ALLOW(layering): <why this edge is sound>"}},
       {"fp-accumulate",

@@ -23,9 +23,9 @@
 //                      non-empty reason (suppressions are documented).
 //   layering         — src/ subdirectories form strict layers (util → stats
 //                      → geom → radio → deploy → sinr → sim → core →
-//                      lowerbound → algorithms → ext); an include may only
-//                      point at the same or a lower layer, and the include
-//                      graph must stay acyclic (checked tree-wide).
+//                      lowerbound → algorithms → ext → fabric); an include
+//                      may only point at the same or a lower layer, and the
+//                      include graph must stay acyclic (checked tree-wide).
 //   fp-accumulate    — floating-point reductions in src/sinr/ and src/sim/
 //                      (std::accumulate/reduce, raw `+=` loops over doubles)
 //                      are banned outside src/sinr/accumulate.hpp: every
@@ -97,7 +97,7 @@ inline int layer_of(std::string_view dir) {
   return -1;
 }
 
-/// Renders the layer order for messages: "util -> stats -> ... -> ext".
+/// Renders the layer order for messages: "util -> stats -> ... -> fabric".
 inline std::string layer_order_string() {
   std::string s;
   for (const std::string_view d : kLayerOrder) {
