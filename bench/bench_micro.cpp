@@ -359,9 +359,9 @@ void run_instrumented_trial(benchmark::State& state, bool incremental) {
   config.max_rounds = 100000;
   // Sweep-level census cache: every trial starts from the same pre-round-1
   // active set (all nodes contend), so the full-set partition is built once
-  // per deployment and copied per trial — the same generation-keyed reuse
-  // idea as the workspace FactoryCache. apply_knockouts is bit-identical to
-  // a fresh build (the oracle tests), so the copy changes no observed value.
+  // per deployment and copied per trial. The partition holds no trial
+  // state, and apply_knockouts is bit-identical to a fresh build (the
+  // oracle tests), so the copy changes no observed value.
   std::vector<NodeId> all(n);
   std::iota(all.begin(), all.end(), NodeId{0});
   const LinkClassPartition initial(dep, all);

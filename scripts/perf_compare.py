@@ -18,6 +18,10 @@ machine:
   closest pair = BM_MinPairwise/4096 / BM_MinPairwiseNearest/4096
                  (half-stencil sweep vs one nearest query per point)
 
+Before gating it prints each file's provenance: git SHA, dirty flag,
+source digest and host load, so two numbers from different trees or a
+loaded host are told apart.
+
 Each benchmark's time is the median of its repetition rows
 (perf_smoke.sh runs 5). The script prints each gated benchmark's spread,
 MAD / median, and refuses (exit 2) a baseline whose spread exceeds the
@@ -94,6 +98,24 @@ def load_times(path):
     return doc.get("context", {}), times
 
 
+def provenance(ctx):
+    """The tree and host load a JSON was measured on, as one line.
+
+    perf_smoke.sh stamps git_sha/git_dirty (fcr_git_* in the campaign
+    JSON), source_digest and loadavg_start/loadavg_end; baselines recorded
+    before a key existed print "-" for it.
+    """
+    sha = ctx.get("git_sha", ctx.get("fcr_git_sha", "-"))
+    dirty = ctx.get("git_dirty", ctx.get("fcr_git_dirty", "-"))
+    digest = ctx.get("source_digest", "-")
+    # google-benchmark's own load_avg is taken as its run starts.
+    loads = [ctx.get("loadavg_start", ctx.get("load_avg")),
+             ctx.get("loadavg_end")]
+    start, end = (f"{load[0]:.2f}" if load else "-" for load in loads)
+    return (f"git {sha[:12]} dirty={dirty} source_digest={digest} "
+            f"load {start} -> {end}")
+
+
 def median(xs):
     s = sorted(xs)
     mid = len(s) // 2
@@ -141,7 +163,9 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     fresh_ctx, fresh = load_times(args[0])
-    _, base = load_times(args[1])
+    base_ctx, base = load_times(args[1])
+    print(f"perf_compare: fresh {args[0]}: {provenance(fresh_ctx)}")
+    print(f"perf_compare: baseline {args[1]}: {provenance(base_ctx)}")
 
     build_type = fresh_ctx.get("fcr_build_type", "unknown")
     if build_type != "Release":

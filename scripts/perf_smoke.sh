@@ -21,8 +21,11 @@
 # below fails if anything but Release would still leak into BENCH_*.json.
 #
 # PROVENANCE: the benchmarked commit (git SHA + dirty flag) is exported as
-# FCR_GIT_SHA / FCR_GIT_DIRTY and stamped into the context by bench_micro,
-# so every committed baseline is attributable to a tree state.
+# FCR_GIT_SHA / FCR_GIT_DIRTY and stamped into the context by bench_micro.
+# A baseline recorded before its change is committed names the parent's
+# SHA, so both JSON contexts also carry source_digest, the measured tree's
+# own fingerprint (perfbench/run.py's recipe over src/ and bench/), and the
+# host load average at the start and end of each measurement.
 #
 # TIMING GATE: absolute timings are machine-dependent and stay
 # informational here; CI regression-gates on machine-independent RATIOS
@@ -61,6 +64,24 @@ if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
 else
   FCR_GIT_DIRTY=0
 fi
+# SHA-256 over the relative paths and bytes of src/ and bench/, first 16
+# hex digits: perfbench/run.py's source_digest with bench/ for perfbench/.
+SOURCE_DIGEST="$(python3 - <<'EOF'
+import hashlib, os
+h = hashlib.sha256()
+for top in ("src", "bench"):
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            h.update(path.encode())
+            with open(path, "rb") as f:
+                h.update(f.read())
+print(h.hexdigest()[:16])
+EOF
+)"
+loadavg() { python3 -c 'import json, os; print(json.dumps(os.getloadavg()))'; }
+LOAD_START="$(loadavg)"
 export FCR_GIT_SHA FCR_GIT_DIRTY
 
 TMP="$(mktemp --suffix=.json)"
@@ -74,9 +95,9 @@ trap 'rm -f "$TMP"' EXIT
 
 # Normalize the reporter's debug stamp (see header comment), then refuse to
 # publish anything that still is not a Release measurement.
-BUILD_TYPE="$(python3 - "$TMP" <<'EOF'
-import json, sys
-path = sys.argv[1]
+BUILD_TYPE="$(python3 - "$TMP" "$SOURCE_DIGEST" "$LOAD_START" <<'EOF'
+import json, os, sys
+path, digest, load_start = sys.argv[1:4]
 doc = json.load(open(path))
 ctx = doc["context"]
 fcr = ctx.get("fcr_build_type", "unknown")
@@ -84,6 +105,9 @@ reporter = ctx.get("library_build_type")
 if reporter is not None:
     ctx["benchmark_reporter_build_type"] = reporter
 ctx["library_build_type"] = fcr
+ctx["source_digest"] = digest
+ctx["loadavg_start"] = json.loads(load_start)
+ctx["loadavg_end"] = list(os.getloadavg())
 json.dump(doc, open(path, "w"), indent=1)
 print(fcr)
 EOF
@@ -174,7 +198,8 @@ FCRW_BIN="$BUILD_DIR/tools/fcrw"
 if [ ! -x "$FCRSIM_BIN" ] || [ ! -x "$FCRW_BIN" ]; then
   echo "perf_smoke: skipping $CAMPAIGN_OUT (fcrsim/fcrw not built in $BUILD_DIR)"
   echo "perf_smoke: wrote $OUT (fcr_build_type=$BUILD_TYPE," \
-       "git=$FCR_GIT_SHA dirty=$FCR_GIT_DIRTY)"
+       "git=$FCR_GIT_SHA dirty=$FCR_GIT_DIRTY" \
+       "source_digest=$SOURCE_DIGEST)"
   exit 0
 fi
 
@@ -182,6 +207,7 @@ CDIR="$(mktemp -d "${TMPDIR:-/tmp}/fcr_perf_campaign.XXXXXX")"
 trap 'rm -rf "$CDIR"' EXIT
 CAMPAIGN=(--n 8192 --trials 64 --seed 7 --retries 3)
 CAMPAIGN_REPS=3
+LOAD_START="$(loadavg)"
 LOCAL_NS=""
 FABRIC_NS=""
 for _ in $(seq 1 "$CAMPAIGN_REPS"); do
@@ -219,15 +245,19 @@ if ! grep -q ", 0 trial(s) run locally" "$CDIR/fabric.log"; then
   exit 1
 fi
 
-python3 - "$CAMPAIGN_OUT" "$BUILD_TYPE" "$LOCAL_NS" "$FABRIC_NS" <<'EOF'
+python3 - "$CAMPAIGN_OUT" "$BUILD_TYPE" "$LOCAL_NS" "$FABRIC_NS" \
+  "$SOURCE_DIGEST" "$LOAD_START" <<'EOF'
 import json, os, sys
-out, build_type, local_ns, fabric_ns = sys.argv[1:5]
+out, build_type, local_ns, fabric_ns, digest, load_start = sys.argv[1:7]
 doc = {
     "context": {
         "fcr_build_type": build_type,
         "library_build_type": build_type,
         "fcr_git_sha": os.environ.get("FCR_GIT_SHA", "unknown"),
         "fcr_git_dirty": os.environ.get("FCR_GIT_DIRTY", "0"),
+        "source_digest": digest,
+        "loadavg_start": json.loads(load_start),
+        "loadavg_end": list(os.getloadavg()),
         "num_cpus": os.cpu_count(),
         "fcr_campaign_spec": "n=8192 trials=64 seed=7 retries=3 "
                              "workers=3 lease_trials=8 transport=unix-socket",
@@ -247,4 +277,5 @@ print(f"perf_smoke: campaign local {float(local_ns)/1e9:.3f} s, "
 EOF
 
 echo "perf_smoke: wrote $OUT and $CAMPAIGN_OUT" \
-     "(fcr_build_type=$BUILD_TYPE, git=$FCR_GIT_SHA dirty=$FCR_GIT_DIRTY)"
+     "(fcr_build_type=$BUILD_TYPE, git=$FCR_GIT_SHA dirty=$FCR_GIT_DIRTY" \
+     "source_digest=$SOURCE_DIGEST)"

@@ -1,7 +1,6 @@
 #include "deploy/deployment.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -10,17 +9,6 @@
 #include "util/check.hpp"
 
 namespace fcr {
-namespace {
-
-/// Process-wide generation counter; each freshly built position buffer gets
-/// the next value, copies share it. Only the TOKEN is global state — it
-/// never influences any computed result, only cache hits.
-std::uint64_t next_generation() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-}  // namespace
 
 double min_pairwise_distance(std::span<const Vec2> points) {
   if (points.size() < 2) return 0.0;
@@ -39,8 +27,7 @@ double min_pairwise_distance(std::span<const Vec2> points) {
 }
 
 Deployment::Deployment(std::vector<Vec2> positions)
-    : positions_(std::make_shared<const std::vector<Vec2>>(std::move(positions))),
-      generation_(next_generation()) {
+    : positions_(std::make_shared<const std::vector<Vec2>>(std::move(positions))) {
   FCR_ENSURE_ARG(!positions_->empty(),
                  "deployment must contain at least one node");
   for (std::size_t id = 0; id < positions_->size(); ++id) {

@@ -7,7 +7,6 @@
 // normalization; `link_ratio()` is R.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -20,11 +19,8 @@ namespace fcr {
 /// Immutable node placement with cached link statistics.
 ///
 /// The position buffer is shared (copy-on-never: deployments are immutable),
-/// so copying a Deployment is allocation-free and every copy reports the
-/// same `generation()` token. Workers use that token to cache per-deployment
-/// derived state (channel gain tables, resolver geometry) across trials:
-/// two Deployment objects with equal generation are guaranteed to hold the
-/// SAME position buffer. Rescaling creates a new buffer and a new token.
+/// so copying a Deployment is allocation-free. Rescaling creates a new
+/// buffer.
 class Deployment {
  public:
   /// Requires at least one node, finite coordinates, no duplicate
@@ -35,10 +31,6 @@ class Deployment {
   std::size_t size() const { return positions_->size(); }
   const std::vector<Vec2>& positions() const { return *positions_; }
   Vec2 position(NodeId id) const;
-
-  /// Identity token of the shared position buffer (never 0). Equal tokens
-  /// imply identical positions; distinct buffers always differ.
-  std::uint64_t generation() const { return generation_; }
 
   /// Shortest pairwise distance (0 if fewer than 2 nodes).
   double min_link() const { return min_link_; }
@@ -66,7 +58,6 @@ class Deployment {
   std::shared_ptr<const std::vector<Vec2>> positions_;
   double min_link_ = 0.0;
   double max_link_ = 0.0;
-  std::uint64_t generation_ = 0;
 };
 
 /// Computes the shortest pairwise distance via a spatial grid: one

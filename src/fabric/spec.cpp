@@ -88,20 +88,19 @@ void validate(const SweepSpec& s) {
 
 std::string SweepSpec::identity() const {
   std::ostringstream id;
-  id << deployment << '/' << channel << '/' << algorithm << "/n=" << n;
+  id << "deployment=" << deployment << ";n=" << n
+     << ";side=" << fmt_double(side) << ";clusters=" << clusters
+     << ";span=" << fmt_double(span) << ";levels=" << levels
+     << ";channel=" << channel << ";alpha=" << fmt_double(alpha)
+     << ";beta=" << fmt_double(beta) << ";noise=" << fmt_double(noise)
+     << ";fading_severity=" << fmt_double(fading_severity)
+     << ";algorithm=" << algorithm << ";p=" << fmt_double(p);
   return id.str();
 }
 
 std::string serialize_spec(const SweepSpec& s) {
   std::ostringstream os;
-  os << "deployment=" << s.deployment << ";n=" << s.n
-     << ";side=" << fmt_double(s.side) << ";clusters=" << s.clusters
-     << ";span=" << fmt_double(s.span) << ";levels=" << s.levels
-     << ";channel=" << s.channel << ";alpha=" << fmt_double(s.alpha)
-     << ";beta=" << fmt_double(s.beta) << ";noise=" << fmt_double(s.noise)
-     << ";fading_severity=" << fmt_double(s.fading_severity)
-     << ";algorithm=" << s.algorithm << ";p=" << fmt_double(s.p)
-     << ";trials=" << s.trials << ";seed=" << s.seed
+  os << s.identity() << ";trials=" << s.trials << ";seed=" << s.seed
      << ";max_rounds=" << s.max_rounds << ";round_budget=" << s.round_budget
      << ";max_attempts=" << s.max_attempts;
   return os.str();

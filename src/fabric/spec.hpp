@@ -50,8 +50,11 @@ struct SweepSpec {
   std::uint64_t round_budget = 0;  ///< campaign watchdog (0 = off)
   std::size_t max_attempts = 3;    ///< retry budget per trial
 
-  /// fcrsim's campaign identity string for this spec (folded into the
-  /// config hash, so a checkpoint cannot resume a different sweep).
+  /// The campaign identity string folded into the config hash, so a
+  /// checkpoint cannot resume a different sweep: every serialized field
+  /// except the ones the hash folds on its own (trials, seed, max_rounds,
+  /// round_budget) and max_attempts, which a resume may change. It is the
+  /// leading part of serialize_spec()'s text.
   std::string identity() const;
 };
 

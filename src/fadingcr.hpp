@@ -48,7 +48,7 @@
 #include "sim/protocol.hpp"       // Algorithm / NodeProtocol interfaces
 #include "sim/runner.hpp"         // multi-trial batches
 #include "sim/subset.hpp"         // activated-subset wrapper
-#include "sim/thread_pool.hpp"    // persistent work-stealing pool
+#include "sim/thread_pool.hpp"    // persistent trial thread pool
 #include "sim/trace.hpp"          // execution tracing
 
 // The paper (core contribution + analysis machinery).

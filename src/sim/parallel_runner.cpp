@@ -1,38 +1,23 @@
 #include "sim/parallel_runner.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "sim/thread_pool.hpp"
-#include "sim/workspace.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 
 namespace fcr {
-namespace {
-
-/// Distinct id per TrialExecutor (i.e. per run_trials_parallel call or per
-/// campaign). Factories are cached per worker keyed by (batch, deployment
-/// generation); the batch half exists because two calls can sweep the SAME
-/// deployment with DIFFERENT factories, which generation alone cannot tell
-/// apart.
-std::uint64_t next_batch_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-}  // namespace
 
 TrialExecutor::TrialExecutor(const DeploymentFactory& make_deployment,
                              const ChannelFactory& make_channel,
                              const AlgorithmFactory& make_algorithm)
     : make_deployment_(make_deployment),
       make_channel_(make_channel),
-      make_algorithm_(make_algorithm),
-      batch_id_(next_batch_id()) {
+      make_algorithm_(make_algorithm) {
   FCR_ENSURE_ARG(make_deployment_ && make_channel_ && make_algorithm_,
                  "all three factories must be set");
 }
@@ -40,38 +25,11 @@ TrialExecutor::TrialExecutor(const DeploymentFactory& make_deployment,
 RunResult TrialExecutor::run(const EngineConfig& engine, Rng deploy_rng,
                              Rng run_rng) const {
   const Deployment dep = make_deployment_(deploy_rng);
-
-  // Per-worker workspace: node slab, round buffers, and the factory
-  // cache all live for the worker's lifetime. Factories are pure
-  // functions of the deployment (the documented thread-safety contract
-  // of this runner), so two trials of this batch that see the same
-  // position buffer may share the factories' products — on a fixed
-  // deployment the channel and algorithm are built once per worker.
-  ExecutionWorkspace& thread_ws = ExecutionWorkspace::for_current_thread();
-  if (thread_ws.busy()) {
-    // Nested batch (a trial observer launched run_trials_parallel and the
-    // calling thread is pumping): isolate with a stack workspace.
-    FCR_FAILPOINT("channel/build");
-    const std::unique_ptr<ChannelAdapter> channel = make_channel_(dep);
-    const std::unique_ptr<Algorithm> algorithm = make_algorithm_(dep);
-    FCR_CHECK(channel != nullptr && algorithm != nullptr);
-    ExecutionWorkspace local;
-    return local.run(dep, *algorithm, *channel, engine, run_rng);
-  }
-  ExecutionWorkspace& ws = thread_ws;
-  ExecutionWorkspace::FactoryCache& cache = ws.factory_cache();
-  if (cache.batch != batch_id_ || cache.generation != dep.generation() ||
-      !cache.channel || !cache.algorithm) {
-    // A fault injected here leaves the cache stale-keyed but null-checked:
-    // the retry re-enters this branch and rebuilds from scratch.
-    FCR_FAILPOINT("channel/build");
-    cache.channel = make_channel_(dep);
-    cache.algorithm = make_algorithm_(dep);
-    cache.batch = batch_id_;
-    cache.generation = dep.generation();
-  }
-  FCR_CHECK(cache.channel != nullptr && cache.algorithm != nullptr);
-  return ws.run(dep, *cache.algorithm, *cache.channel, engine, run_rng);
+  FCR_FAILPOINT("channel/build");
+  const std::unique_ptr<ChannelAdapter> channel = make_channel_(dep);
+  const std::unique_ptr<Algorithm> algorithm = make_algorithm_(dep);
+  FCR_CHECK(channel != nullptr && algorithm != nullptr);
+  return run_execution(dep, *algorithm, *channel, engine, run_rng);
 }
 
 TrialSetResult run_trials_parallel(const DeploymentFactory& make_deployment,

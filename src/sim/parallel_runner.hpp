@@ -1,9 +1,10 @@
 // Parallel trial execution.
 //
 // Trials are embarrassingly parallel AND deterministically seeded (trial t
-// always derives its streams from master.split(2t), master.split(2t+1)),
-// so a multi-threaded batch produces BIT-IDENTICAL results to the serial
-// runner — verified by tests. Use it for large sweeps; the serial
+// always derives its streams from master.split(2t), master.split(2t+1),
+// and builds its own channel and algorithm), so a multi-threaded batch
+// produces BIT-IDENTICAL results to the serial runner, stateful channels
+// included — verified by tests. Use it for large sweeps; the serial
 // run_trials remains the reference implementation.
 //
 // Thread-safety audit (for Clang's -Wthread-safety, which sees no locks
@@ -15,20 +16,20 @@
 // never copied across trials (enforced by fcrlint's rng-flow rule).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "sim/runner.hpp"
 
 namespace fcr {
 
-/// Executes single trials from factory triple + pre-split Rng streams,
-/// using the calling thread's ExecutionWorkspace and its per-batch factory
-/// cache. One executor = one logical batch: trials run through the same
-/// executor may share cached factory products when they see the same
-/// deployment generation, exactly like one run_trials_parallel call.
+/// One trial of run_trials, from a factory triple and pre-split Rng
+/// streams: generate the deployment, build the channel and the algorithm,
+/// run the execution. Nothing is reused across trials, so a trial's result
+/// depends only on its streams, never on which thread ran it or what that
+/// thread ran before.
 ///
-/// Shared by run_trials_parallel and CampaignRunner so a retried trial in
-/// a campaign goes through byte-for-byte the same execution path as the
+/// Shared by run_trials_parallel, the campaign and the fabric worker so a
+/// retried trial goes through byte-for-byte the same execution path as the
 /// original attempt. Holds references to the factories: the caller keeps
 /// them alive for the executor's lifetime.
 class TrialExecutor {
@@ -37,17 +38,16 @@ class TrialExecutor {
                 const ChannelFactory& make_channel,
                 const AlgorithmFactory& make_algorithm);
 
-  /// Runs one trial: generate the deployment from deploy_rng, build (or
-  /// reuse) channel + algorithm, execute with run_rng. Thread-safe for
-  /// concurrent calls (per-thread workspaces). Throws on factory or
-  /// engine failure; the caller attaches trial provenance.
+  /// Runs one trial: generate the deployment from deploy_rng, build
+  /// channel + algorithm, execute with run_rng. Thread-safe for concurrent
+  /// calls (per-thread workspaces). Throws on factory or engine failure;
+  /// the caller attaches trial provenance.
   RunResult run(const EngineConfig& engine, Rng deploy_rng, Rng run_rng) const;
 
  private:
   const DeploymentFactory& make_deployment_;
   const ChannelFactory& make_channel_;
   const AlgorithmFactory& make_algorithm_;
-  std::uint64_t batch_id_;
 };
 
 /// Like run_trials, but distributes trials over `threads` worker threads

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -50,10 +51,6 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<WorkQueue>());
-  }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -62,75 +59,36 @@ ThreadPool::ThreadPool(std::size_t threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    const MutexLock lock(signal_m_);
+    const MutexLock lock(m_);
     stop_ = true;
   }
-  signal_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  const std::size_t w =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
   {
-    const MutexLock lock(queues_[w]->m);
-    queues_[w]->tasks.push_back(std::move(task));
+    const MutexLock lock(m_);
+    tasks_.push_back(std::move(task));
   }
-  {
-    const MutexLock lock(signal_m_);
-    ++version_;
-  }
-  signal_cv_.notify_one();
-}
-
-std::function<void()> ThreadPool::pop_any(std::size_t self) {
-  // Own deque first, then steal in a fixed cyclic scan — deterministic
-  // victim order by design (the fcrlint rules ban randomness in src/).
-  const std::size_t n = queues_.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    WorkQueue& q = *queues_[(self + k) % n];
-    const MutexLock lock(q.m);
-    if (!q.tasks.empty()) {
-      std::function<void()> task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      return task;
-    }
-  }
-  return nullptr;
+  cv_.notify_one();
 }
 
 void ThreadPool::worker_loop(std::size_t self) {
   tls_pool_worker = self;
   for (;;) {
-    if (std::function<void()> task = pop_any(self)) {
-      task();
-      continue;
-    }
-    std::uint64_t seen = 0;
-    bool stopping = false;
+    std::function<void()> task;
     {
-      const MutexLock lock(signal_m_);
-      stopping = stop_;
-      seen = version_;
+      const MutexLock lock(m_);
+      while (!stop_ && tasks_.empty()) m_.wait(cv_);
+      // On stop, drain whatever is still queued so no for_each() caller
+      // is left waiting on a pump that never ran.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    if (stopping) break;
-    // A submit may have raced our failed scan; its version bump happened
-    // after the push, so either this re-scan finds the task or the wait
-    // below sees version_ != seen and loops around.
-    if (std::function<void()> task = pop_any(self)) {
-      task();
-      continue;
-    }
-    {
-      const MutexLock lock(signal_m_);
-      while (!stop_ && version_ == seen) signal_m_.wait(signal_cv_);
-      stopping = stop_;
-    }
-    if (stopping) break;
+    task();
   }
-  // Shutdown: drain whatever is still queued so no for_each() caller is
-  // left waiting on a pump that never ran.
-  while (std::function<void()> task = pop_any(self)) task();
 }
 
 void ThreadPool::run_pump(Batch& batch) {

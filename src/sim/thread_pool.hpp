@@ -1,18 +1,18 @@
-// Persistent work-stealing thread pool: the scheduling core of the trial
-// engine. Created once (see global()) and reused by run_trials_parallel,
-// the benches, and the tests, replacing the old spawn-and-join of a fresh
-// std::thread batch on every call.
+// Persistent thread pool: the scheduling core of the trial engine. Created
+// once (see global()) and reused by run_trials_parallel, the benches, and
+// the tests, replacing the old spawn-and-join of a fresh std::thread batch
+// on every call.
 //
 // Design, sized for this codebase's workload (few, coarse tasks):
-//   * one FIFO deque per worker, each behind its own mutex; a task is
-//     submitted round-robin and an idle worker that finds its own deque
-//     empty STEALS by scanning the other deques in a fixed cyclic order
-//     (no randomness — the fcrlint determinism rules apply here too);
-//   * for_each() is the only consumption API: it schedules shared "pump"
+//   * one FIFO queue behind one mutex; a submit pushes a task and wakes one
+//     idle worker, which pops the front task and runs it without the lock;
+//   * for_each() is the only consumption API: it queues shared "pump"
 //     tasks that claim indices from an atomic counter, and the CALLING
-//     thread also pumps. Caller participation guarantees progress even
-//     when every worker is busy with other batches, so concurrent
-//     for_each() calls (racing sweep drivers) cannot deadlock;
+//     thread also pumps. The pumps of a batch are interchangeable, so one
+//     queue loses nothing to per-worker queues. Caller participation
+//     guarantees progress even when every worker is busy with other
+//     batches, so concurrent for_each() calls (racing sweep drivers)
+//     cannot deadlock;
 //   * pumps re-check the batch's abort flag BEFORE claiming an index, so
 //     after a task throws, no further index starts executing; the first
 //     exception is rethrown in the caller once the batch drains.
@@ -27,12 +27,9 @@
 // lock. GCC compiles the same code with the attributes expanded away.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -69,27 +66,20 @@ class ThreadPool {
 
  private:
   struct Batch;
-  struct WorkQueue {
-    Mutex m;
-    std::deque<std::function<void()>> tasks FCR_GUARDED_BY(m);
-  };
 
   void worker_loop(std::size_t self);
-  std::function<void()> pop_any(std::size_t self);
   void submit(std::function<void()> task);
   static void run_pump(Batch& batch);
 
-  std::vector<std::unique_ptr<WorkQueue>> queues_;
-  std::vector<std::thread> workers_;
-  std::atomic<std::size_t> next_queue_{0};
+  // Pending tasks, oldest first. Workers sleep on cv_ until a task arrives
+  // or stop_ is set.
+  Mutex m_;
+  CondVar cv_;
+  std::deque<std::function<void()>> tasks_ FCR_GUARDED_BY(m_);
+  bool stop_ FCR_GUARDED_BY(m_) = false;
 
-  // Sleep/wake protocol: version_ is bumped under signal_m_ on every
-  // submit; an idle worker records the version, re-scans the deques, and
-  // only then sleeps until the version moves (no missed wakeups).
-  Mutex signal_m_;
-  CondVar signal_cv_;
-  std::uint64_t version_ FCR_GUARDED_BY(signal_m_) = 0;
-  bool stop_ FCR_GUARDED_BY(signal_m_) = false;
+  // Declared after the queue, which every worker uses.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace fcr

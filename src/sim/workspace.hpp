@@ -15,13 +15,11 @@
 //     bytes;
 //   * the round buffers (transmitters, listeners, listener feedback) of
 //     the reference loop and of materialized columnar rounds, which only
-//     ever shrink-to-reuse via clear()/assign();
-//   * a per-worker FACTORY CACHE keyed by (trial batch, deployment
-//     generation): run_trials_parallel's factories are pure functions of
-//     the deployment, so when consecutive trials on a worker see the same
-//     position buffer (Deployment::generation()), the channel adapter — and
-//     with it the BatchResolver's cached gain/geometry scratch — and the
-//     algorithm are rebuilt once per worker instead of once per trial.
+//     ever shrink-to-reuse via clear()/assign().
+//
+// The channel and the algorithm are the caller's. The trial runners build
+// both fresh for every trial (sim/runner.hpp, sim/parallel_runner.hpp), so
+// a stateful channel never carries state from one trial into the next.
 //
 // Reset discipline (checked by fcrlint's workspace-reset rule): every
 // container reused across runs is clear()ed/assign()ed at the start of the
@@ -73,19 +71,6 @@ class ExecutionWorkspace {
   /// True while a run() on this workspace is in progress (used to detect
   /// reentrant executions, e.g. an observer starting a nested run).
   bool busy() const { return busy_; }
-
-  /// Factory products cached across the trials one worker executes within
-  /// one run_trials_parallel call. `batch` identifies the call (factories
-  /// may differ between calls even on identical deployments); `generation`
-  /// identifies the deployment's position buffer. Valid only when both
-  /// match and the pointers are non-null.
-  struct FactoryCache {
-    std::uint64_t batch = 0;
-    std::uint64_t generation = 0;
-    std::unique_ptr<ChannelAdapter> channel;
-    std::unique_ptr<Algorithm> algorithm;
-  };
-  FactoryCache& factory_cache() { return cache_; }
 
   /// The calling thread's workspace (created on first use, reused for the
   /// thread's lifetime). Pool workers are persistent, so per-worker state
@@ -175,7 +160,6 @@ class ExecutionWorkspace {
   std::vector<std::uint64_t> col_listen_;
   std::vector<std::uint64_t> col_received_;
 
-  FactoryCache cache_;
   bool busy_ = false;
 };
 

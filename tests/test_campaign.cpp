@@ -25,6 +25,7 @@
 #include "deploy/generators.hpp"
 #include "sim/campaign.hpp"
 #include "sim/channel_adapter.hpp"
+#include "stateful_channels.hpp"
 #include "util/failpoint.hpp"
 
 namespace fcr {
@@ -160,6 +161,16 @@ TEST(Campaign, CleanSerialCampaignMatchesRunTrials) {
   EXPECT_TRUE(res.failures.empty());
   EXPECT_EQ(res.retried, 0u);
   EXPECT_EQ(res.quarantined, 0u);
+
+  const DeploymentFactory fixed = stateful_channels::fixed_uniform(32);
+  for (const ChannelFactory& channel : stateful_channels::factories()) {
+    CampaignRunner fixed_runner(fixed, channel, fading_factory(), cc);
+    const TrialSetResult fixed_result = fixed_runner.run().result;
+    const TrialSetResult fixed_reference =
+        run_trials(fixed, channel, fading_factory(), cc.trial);
+    EXPECT_EQ(fixed_result.solved, fixed_reference.solved);
+    EXPECT_EQ(fixed_result.rounds, fixed_reference.rounds);
+  }
 }
 
 TEST(Campaign, CleanParallelCampaignMatchesRunTrials) {
@@ -174,6 +185,16 @@ TEST(Campaign, CleanParallelCampaignMatchesRunTrials) {
                  fading_factory(), cc.trial);
   EXPECT_EQ(res.result.solved, reference.solved);
   EXPECT_EQ(res.result.rounds, reference.rounds);
+
+  const DeploymentFactory fixed = stateful_channels::fixed_uniform(32);
+  for (const ChannelFactory& channel : stateful_channels::factories()) {
+    CampaignRunner fixed_runner(fixed, channel, fading_factory(), cc);
+    const TrialSetResult fixed_result = fixed_runner.run().result;
+    const TrialSetResult fixed_reference =
+        run_trials(fixed, channel, fading_factory(), cc.trial);
+    EXPECT_EQ(fixed_result.solved, fixed_reference.solved);
+    EXPECT_EQ(fixed_result.rounds, fixed_reference.rounds);
+  }
 }
 
 TEST(Campaign, Validation) {

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -159,6 +160,40 @@ TEST(FabricSpec, SerializeParseRoundTrip) {
   EXPECT_EQ(back.identity(), spec.identity());
   EXPECT_EQ(campaign_config_hash(fabric::campaign_config(back)),
             campaign_config_hash(fabric::campaign_config(spec)));
+
+  // Every serialized field that changes what a trial computes keys the
+  // checkpoint; the retry budget deliberately does not.
+  using Edit = void (*)(fabric::SweepSpec&);
+  const std::vector<std::pair<const char*, Edit>> edits = {
+      {"deployment", [](fabric::SweepSpec& s) { s.deployment = "disk"; }},
+      {"n", [](fabric::SweepSpec& s) { s.n += 1; }},
+      {"side", [](fabric::SweepSpec& s) { s.side += 1.0; }},
+      {"clusters", [](fabric::SweepSpec& s) { s.clusters += 1; }},
+      {"span", [](fabric::SweepSpec& s) { s.span *= 2.0; }},
+      {"levels", [](fabric::SweepSpec& s) { s.levels += 1; }},
+      {"channel", [](fabric::SweepSpec& s) { s.channel = "sinr"; }},
+      {"alpha", [](fabric::SweepSpec& s) { s.alpha = 4.0; }},
+      {"beta", [](fabric::SweepSpec& s) { s.beta = 3.0; }},
+      {"noise", [](fabric::SweepSpec& s) { s.noise *= 2.0; }},
+      {"fading_severity",
+       [](fabric::SweepSpec& s) { s.fading_severity = 0.5; }},
+      {"algorithm", [](fabric::SweepSpec& s) { s.algorithm = "fading"; }},
+      {"p", [](fabric::SweepSpec& s) { s.p = 0.5; }},
+      {"trials", [](fabric::SweepSpec& s) { s.trials += 1; }},
+      {"seed", [](fabric::SweepSpec& s) { s.seed += 1; }},
+      {"max_rounds", [](fabric::SweepSpec& s) { s.max_rounds += 1; }},
+      {"round_budget", [](fabric::SweepSpec& s) { s.round_budget += 1; }},
+  };
+  const std::uint64_t hash = campaign_config_hash(fabric::campaign_config(spec));
+  for (const auto& [field, edit] : edits) {
+    fabric::SweepSpec changed = spec;
+    edit(changed);
+    EXPECT_NE(campaign_config_hash(fabric::campaign_config(changed)), hash)
+        << field;
+  }
+  fabric::SweepSpec more_retries = spec;
+  more_retries.max_attempts += 1;
+  EXPECT_EQ(campaign_config_hash(fabric::campaign_config(more_retries)), hash);
 }
 
 TEST(FabricSpec, ParseRejectsMalformedText) {

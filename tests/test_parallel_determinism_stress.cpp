@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fadingcr.hpp"
+#include "stateful_channels.hpp"
 
 namespace fcr {
 namespace {
@@ -63,6 +64,23 @@ TEST(ParallelDeterminismStress, BitIdenticalAcrossThreadCountsAndSeeds) {
           << "seed=" << seed << " threads=" << threads;
       EXPECT_EQ(parallel.rounds, serial.rounds)
           << "seed=" << seed << " threads=" << threads;
+    }
+  }
+
+  // Stateful channels on a fixed deployment.
+  const DeploymentFactory fixed = stateful_channels::fixed_uniform(32);
+  const std::vector<ChannelFactory> channels = stateful_channels::factories();
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    const TrialConfig config = stress_config(24, 20160725);
+    const TrialSetResult serial =
+        run_trials(fixed, channels[c], fading_factory(), config);
+    for (const std::size_t threads : stress_thread_counts()) {
+      const TrialSetResult parallel = run_trials_parallel(
+          fixed, channels[c], fading_factory(), config, threads);
+      EXPECT_EQ(parallel.solved, serial.solved)
+          << "channel=" << c << " threads=" << threads;
+      EXPECT_EQ(parallel.rounds, serial.rounds)
+          << "channel=" << c << " threads=" << threads;
     }
   }
 }

@@ -16,6 +16,7 @@
 //   fcrsim --trials 60 --fabric-socket /tmp/fcr.sock   (+ fcrw workers)
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 
@@ -30,6 +31,7 @@
 #include "sinr/validate.hpp"
 #include "stats/bootstrap.hpp"
 #include "util/cli.hpp"
+#include "util/crc32.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -102,13 +104,21 @@ int run(int argc, const char* const* argv) {
   const fabric::SweepSpec spec = fabric::spec_from_cli(cli);
   const fabric::Factories factories = fabric::make_factories(spec);
   DeploymentFactory deploy = factories.deploy;
+  // A file deployment is part of the instance, so its bytes key campaign
+  // checkpoints alongside the spec.
+  std::string dep_file_identity;
   if (!dep_file.empty()) {
-    std::ifstream in(dep_file);
+    std::ifstream in(dep_file, std::ios::binary);
     if (!in.good()) {
       throw Error(ErrorCategory::kIo,
                   "cannot open deployment file '" + dep_file + "'");
     }
-    deploy = fixed_deployment(read_deployment_csv(in));
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    std::istringstream text(bytes);
+    deploy = fixed_deployment(read_deployment_csv(text));
+    dep_file_identity = ";deployment_file_crc32=" +
+                        std::to_string(crc32(bytes.data(), bytes.size()));
   }
   const ChannelFactory& channel = factories.channel;
   const AlgorithmFactory& algorithm = factories.algorithm;
@@ -150,6 +160,7 @@ int run(int argc, const char* const* argv) {
   TrialSetResult result;
   if (campaign_mode) {
     CampaignConfig cc = fabric::campaign_config(spec);
+    cc.identity += dep_file_identity;
     cc.threads = static_cast<std::size_t>(cli.get_int("threads"));
     cc.checkpoint.path = cli.get_string("checkpoint");
     cc.checkpoint.every =
