@@ -11,12 +11,14 @@
 #include <optional>
 #include <span>
 
+#include "algorithms/decay.hpp"
 #include "core/fading_cr.hpp"
 #include "core/link_classes.hpp"
 #include "deploy/generators.hpp"
 #include "fabric/spec.hpp"
 #include "geom/grid.hpp"
 #include "geom/hull.hpp"
+#include "sim/channel_adapter.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_runner.hpp"
 #include "sim/runner.hpp"
@@ -322,10 +324,10 @@ BENCHMARK(BM_FullExecution)->Arg(8)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 void BM_FullExecutionVirtual(benchmark::State& state) {
   // The per-node virtual engine, pinned explicitly. BM_FullExecution above
   // runs the default path (the fast path at these sizes, from
-  // ExecutionWorkspace::kFastCutover = 8 up); the pair yields the
-  // machine-independent fast-vs-reference ratio that
-  // scripts/perf_compare.py regression-gates, and n = 8, 16 compare the
-  // two paths right at the cutover.
+  // ExecutionWorkspace::kFastCutover = 8 up); n = 8, 16 compare the two
+  // paths right at the cutover. The reference rounds resolve through the
+  // id-vector BatchResolver, which dominates them, so the engine-only
+  // ratio that scripts/perf_compare.py gates uses the radio pair below.
   const auto n = static_cast<std::size_t>(state.range(0));
   const Deployment dep = make_uniform(n);
   const auto channel = sinr_channel_factory(3.0, 1.5, 1e-9)(dep);
@@ -342,6 +344,36 @@ void BM_FullExecutionVirtual(benchmark::State& state) {
 }
 BENCHMARK(BM_FullExecutionVirtual)
     ->Arg(8)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+
+/// Shared body of the radio execution pair: Decay with known N on the plain
+/// radio channel, whose resolve is one flat pass over the listeners, so
+/// fast ÷ reference measures the round engine alone (the machine-
+/// independent ratio scripts/perf_compare.py gates as columnar-execution).
+void run_radio_execution(benchmark::State& state, ExecutionPath path) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Deployment dep = make_uniform(n);
+  const auto channel = make_radio_adapter(false);
+  const DecayKnownN algo(n);
+  EngineConfig config;
+  config.max_rounds = 100000;
+  config.path = path;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const RunResult r =
+        run_execution(dep, algo, *channel, config, Rng(seed++));
+    benchmark::DoNotOptimize(r.rounds);
+  }
+}
+
+void BM_FullExecutionRadio(benchmark::State& state) {
+  run_radio_execution(state, ExecutionPath::kAuto);
+}
+BENCHMARK(BM_FullExecutionRadio)->Arg(1024);
+
+void BM_FullExecutionRadioVirtual(benchmark::State& state) {
+  run_radio_execution(state, ExecutionPath::kReference);
+}
+BENCHMARK(BM_FullExecutionRadioVirtual)->Arg(1024);
 
 /// Shared body for the instrumented-sweep benches: one full execution per
 /// iteration with a per-round link-class census observer. `incremental`

@@ -136,7 +136,8 @@ trap - EXIT
 
 # Non-gating speedup report (medians of the repetitions): batch vs
 # reference scan per n, the incremental-instrumentation gain on the trial
-# benches, the fast path vs the per-node virtual reference, the
+# benches, the fast path vs the per-node virtual reference (SINR per n,
+# and the engine-only radio pair the columnar-execution gate uses), the
 # auto-dispatched decide kernel vs the same kernel pinned to the generic
 # target, and the closest-pair sweep vs the per-point nearest loop.
 python3 - "$OUT" <<'EOF' || true
@@ -176,6 +177,11 @@ for n in (8, 16, 64, 256, 1024):
     if virt and fast:
         print(f"perf_smoke: execution n={n}: reference {virt/1e6:.3f} ms, "
               f"fast {fast/1e6:.3f} ms, speedup {virt/fast:.2f}x")
+virt = runs.get("BM_FullExecutionRadioVirtual/1024")
+fast = runs.get("BM_FullExecutionRadio/1024")
+if virt and fast:
+    print(f"perf_smoke: radio execution n=1024 (engine only): reference "
+          f"{virt/1e6:.3f} ms, fast {fast/1e6:.3f} ms, speedup {virt/fast:.2f}x")
 sweep = runs.get("BM_MinPairwise/4096")
 loop = runs.get("BM_MinPairwiseNearest/4096")
 if sweep and loop:

@@ -1,6 +1,5 @@
 #include "algorithms/aloha.hpp"
 
-#include <new>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -39,16 +38,6 @@ std::string SlottedAloha::name() const {
 std::unique_ptr<NodeProtocol> SlottedAloha::make_node(NodeId /*id*/,
                                                       Rng rng) const {
   return std::make_unique<AlohaNode>(1.0 / static_cast<double>(size_bound_), rng);
-}
-
-NodeLayout SlottedAloha::node_layout() const {
-  return {sizeof(AlohaNode), alignof(AlohaNode)};
-}
-
-NodeProtocol* SlottedAloha::construct_node_at(void* storage, NodeId /*id*/,
-                                              Rng rng) const {
-  return ::new (storage)
-      AlohaNode(1.0 / static_cast<double>(size_bound_), rng);
 }
 
 void SlottedAloha::columnar_init(ColumnarState& state) const {

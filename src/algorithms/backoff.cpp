@@ -1,6 +1,5 @@
 #include "algorithms/backoff.hpp"
 
-#include <new>
 
 #include "util/rng_lanes.hpp"
 
@@ -40,16 +39,6 @@ class BackoffNode final : public NodeProtocol {
 std::unique_ptr<NodeProtocol> BinaryExponentialBackoff::make_node(
     NodeId /*id*/, Rng rng) const {
   return std::make_unique<BackoffNode>(rng);
-}
-
-NodeLayout BinaryExponentialBackoff::node_layout() const {
-  return {sizeof(BackoffNode), alignof(BackoffNode)};
-}
-
-NodeProtocol* BinaryExponentialBackoff::construct_node_at(void* storage,
-                                                          NodeId /*id*/,
-                                                          Rng rng) const {
-  return ::new (storage) BackoffNode(rng);
 }
 
 void BinaryExponentialBackoff::decide(

@@ -29,9 +29,6 @@ class BinaryExponentialBackoff final : public Algorithm,
 
   std::string name() const override { return "binary-backoff"; }
   std::unique_ptr<NodeProtocol> make_node(NodeId id, Rng rng) const override;
-  NodeLayout node_layout() const override;
-  NodeProtocol* construct_node_at(void* storage, NodeId id,
-                                  Rng rng) const override;
   const ColumnarAlgorithm* columnar() const override { return this; }
   void decide(std::uint64_t round, ColumnarState& state,
               std::span<std::uint64_t> decisions) const override;

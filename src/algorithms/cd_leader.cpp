@@ -1,6 +1,5 @@
 #include "algorithms/cd_leader.hpp"
 
-#include <new>
 
 #include "util/check.hpp"
 
@@ -44,16 +43,6 @@ CollisionDetectLeader::CollisionDetectLeader(double transmit_probability)
 std::unique_ptr<NodeProtocol> CollisionDetectLeader::make_node(NodeId /*id*/,
                                                                Rng rng) const {
   return std::make_unique<CdLeaderNode>(p_, rng);
-}
-
-NodeLayout CollisionDetectLeader::node_layout() const {
-  return {sizeof(CdLeaderNode), alignof(CdLeaderNode)};
-}
-
-NodeProtocol* CollisionDetectLeader::construct_node_at(void* storage,
-                                                       NodeId /*id*/,
-                                                       Rng rng) const {
-  return ::new (storage) CdLeaderNode(p_, rng);
 }
 
 }  // namespace fcr

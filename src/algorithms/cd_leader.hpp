@@ -28,9 +28,6 @@ class CollisionDetectLeader final : public Algorithm {
 
   std::string name() const override { return "cd-leader"; }
   std::unique_ptr<NodeProtocol> make_node(NodeId id, Rng rng) const override;
-  NodeLayout node_layout() const override;
-  NodeProtocol* construct_node_at(void* storage, NodeId id,
-                                  Rng rng) const override;
   bool requires_collision_detection() const override { return true; }
 
   double transmit_probability() const { return p_; }

@@ -1,7 +1,6 @@
 #include "algorithms/decay.hpp"
 
 #include <cmath>
-#include <new>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -77,15 +76,6 @@ std::unique_ptr<NodeProtocol> DecayKnownN::make_node(NodeId /*id*/, Rng rng) con
   return std::make_unique<DecayKnownNNode>(sweep_length_, rng);
 }
 
-NodeLayout DecayKnownN::node_layout() const {
-  return {sizeof(DecayKnownNNode), alignof(DecayKnownNNode)};
-}
-
-NodeProtocol* DecayKnownN::construct_node_at(void* storage, NodeId /*id*/,
-                                             Rng rng) const {
-  return ::new (storage) DecayKnownNNode(sweep_length_, rng);
-}
-
 void DecayKnownN::decide(std::uint64_t round, ColumnarState& state,
                          std::span<std::uint64_t> decisions) const {
   const std::uint64_t slot = (round - 1) % sweep_length_;
@@ -95,15 +85,6 @@ void DecayKnownN::decide(std::uint64_t round, ColumnarState& state,
 std::unique_ptr<NodeProtocol> DecayDoubling::make_node(NodeId /*id*/,
                                                        Rng rng) const {
   return std::make_unique<DecayDoublingNode>(rng);
-}
-
-NodeLayout DecayDoubling::node_layout() const {
-  return {sizeof(DecayDoublingNode), alignof(DecayDoublingNode)};
-}
-
-NodeProtocol* DecayDoubling::construct_node_at(void* storage, NodeId /*id*/,
-                                               Rng rng) const {
-  return ::new (storage) DecayDoublingNode(rng);
 }
 
 void DecayDoubling::decide(std::uint64_t round, ColumnarState& state,

@@ -33,9 +33,6 @@ class DecayKnownN final : public Algorithm, public ColumnarAlgorithm {
 
   std::string name() const override;
   std::unique_ptr<NodeProtocol> make_node(NodeId id, Rng rng) const override;
-  NodeLayout node_layout() const override;
-  NodeProtocol* construct_node_at(void* storage, NodeId id,
-                                  Rng rng) const override;
   const ColumnarAlgorithm* columnar() const override { return this; }
   void decide(std::uint64_t round, ColumnarState& state,
               std::span<std::uint64_t> decisions) const override;
@@ -59,9 +56,6 @@ class DecayDoubling final : public Algorithm, public ColumnarAlgorithm {
 
   std::string name() const override { return "decay-doubling"; }
   std::unique_ptr<NodeProtocol> make_node(NodeId id, Rng rng) const override;
-  NodeLayout node_layout() const override;
-  NodeProtocol* construct_node_at(void* storage, NodeId id,
-                                  Rng rng) const override;
   const ColumnarAlgorithm* columnar() const override { return this; }
   void decide(std::uint64_t round, ColumnarState& state,
               std::span<std::uint64_t> decisions) const override;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <new>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -51,15 +50,6 @@ std::string FastDecay::name() const {
 
 std::unique_ptr<NodeProtocol> FastDecay::make_node(NodeId /*id*/, Rng rng) const {
   return std::make_unique<FastDecayNode>(sigma_, sweep_length_, rng);
-}
-
-NodeLayout FastDecay::node_layout() const {
-  return {sizeof(FastDecayNode), alignof(FastDecayNode)};
-}
-
-NodeProtocol* FastDecay::construct_node_at(void* storage, NodeId /*id*/,
-                                           Rng rng) const {
-  return ::new (storage) FastDecayNode(sigma_, sweep_length_, rng);
 }
 
 void FastDecay::decide(std::uint64_t round, ColumnarState& state,

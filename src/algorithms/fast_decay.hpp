@@ -39,9 +39,6 @@ class FastDecay final : public Algorithm, public ColumnarAlgorithm {
 
   std::string name() const override;
   std::unique_ptr<NodeProtocol> make_node(NodeId id, Rng rng) const override;
-  NodeLayout node_layout() const override;
-  NodeProtocol* construct_node_at(void* storage, NodeId id,
-                                  Rng rng) const override;
   const ColumnarAlgorithm* columnar() const override { return this; }
   void decide(std::uint64_t round, ColumnarState& state,
               std::span<std::uint64_t> decisions) const override;

@@ -1,6 +1,5 @@
 #include "algorithms/no_knockout.hpp"
 
-#include <new>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -41,16 +40,6 @@ std::string NoKnockoutControl::name() const {
 std::unique_ptr<NodeProtocol> NoKnockoutControl::make_node(NodeId /*id*/,
                                                            Rng rng) const {
   return std::make_unique<NoKnockoutNode>(p_, rng);
-}
-
-NodeLayout NoKnockoutControl::node_layout() const {
-  return {sizeof(NoKnockoutNode), alignof(NoKnockoutNode)};
-}
-
-NodeProtocol* NoKnockoutControl::construct_node_at(void* storage,
-                                                   NodeId /*id*/,
-                                                   Rng rng) const {
-  return ::new (storage) NoKnockoutNode(p_, rng);
 }
 
 void NoKnockoutControl::columnar_init(ColumnarState& state) const {

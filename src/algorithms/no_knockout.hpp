@@ -22,9 +22,6 @@ class NoKnockoutControl final : public Algorithm, public ColumnarAlgorithm {
 
   std::string name() const override;
   std::unique_ptr<NodeProtocol> make_node(NodeId id, Rng rng) const override;
-  NodeLayout node_layout() const override;
-  NodeProtocol* construct_node_at(void* storage, NodeId id,
-                                  Rng rng) const override;
   const ColumnarAlgorithm* columnar() const override { return this; }
   void columnar_init(ColumnarState& state) const override;
   void decide(std::uint64_t round, ColumnarState& state,

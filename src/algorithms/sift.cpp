@@ -1,7 +1,6 @@
 #include "algorithms/sift.hpp"
 
 #include <cmath>
-#include <new>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -64,15 +63,6 @@ double SiftWindow::slot_probability(std::size_t slot) const {
 std::unique_ptr<NodeProtocol> SiftWindow::make_node(NodeId /*id*/,
                                                     Rng rng) const {
   return std::make_unique<SiftNode>(window_, skew_, rng);
-}
-
-NodeLayout SiftWindow::node_layout() const {
-  return {sizeof(SiftNode), alignof(SiftNode)};
-}
-
-NodeProtocol* SiftWindow::construct_node_at(void* storage, NodeId /*id*/,
-                                            Rng rng) const {
-  return ::new (storage) SiftNode(window_, skew_, rng);
 }
 
 void SiftWindow::decide(std::uint64_t round, ColumnarState& state,

@@ -1,7 +1,6 @@
 #include "core/fading_cr.hpp"
 
 #include <bit>
-#include <new>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -35,16 +34,6 @@ std::string FadingContentionResolution::name() const {
 std::unique_ptr<NodeProtocol> FadingContentionResolution::make_node(
     NodeId /*id*/, Rng rng) const {
   return std::make_unique<FadingNode>(p_, rng);
-}
-
-NodeLayout FadingContentionResolution::node_layout() const {
-  return {sizeof(FadingNode), alignof(FadingNode)};
-}
-
-NodeProtocol* FadingContentionResolution::construct_node_at(void* storage,
-                                                            NodeId /*id*/,
-                                                            Rng rng) const {
-  return ::new (storage) FadingNode(p_, rng);
 }
 
 void FadingContentionResolution::columnar_init(ColumnarState& state) const {

@@ -54,12 +54,6 @@ class FadingContentionResolution final : public Algorithm,
   std::string name() const override;
   std::unique_ptr<NodeProtocol> make_node(NodeId id, Rng rng) const override;
 
-  /// FadingNode supports slab placement: the workspace engine constructs
-  /// nodes in-place so steady-state trials never touch the heap.
-  NodeLayout node_layout() const override;
-  NodeProtocol* construct_node_at(void* storage, NodeId id,
-                                  Rng rng) const override;
-
   const ColumnarAlgorithm* columnar() const override { return this; }
   void columnar_init(ColumnarState& state) const override;
   void decide(std::uint64_t round, ColumnarState& state,

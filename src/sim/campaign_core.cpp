@@ -20,12 +20,10 @@ std::optional<CheckpointEntry> run_trial_attempt(const TrialExecutor& executor,
     // Attempt 1 replays run_trials exactly; later attempts re-split the
     // SAME base streams by the attempt number, so a retry perturbs no
     // other trial and is itself replayable.
-    const Rng master(config.trial.seed);
-    Rng deploy_rng = master.split(2 * trial);
-    Rng run_rng = master.split(2 * trial + 1);
+    TrialStreams streams = trial_streams(Rng(config.trial.seed), trial);
     if (attempt > 1) {
-      deploy_rng = deploy_rng.split(attempt);
-      run_rng = run_rng.split(attempt);
+      streams.deploy = streams.deploy.split(attempt);
+      streams.run = streams.run.split(attempt);
     }
     const std::uint64_t round_budget = config.watchdog.round_budget;
     EngineConfig engine = config.trial.engine;
@@ -36,7 +34,7 @@ std::optional<CheckpointEntry> run_trial_attempt(const TrialExecutor& executor,
     const bool budget_bounds =
         round_budget > 0 && round_budget <= engine.max_rounds;
     if (budget_bounds) engine.max_rounds = round_budget;
-    const RunResult r = executor.run(engine, deploy_rng, run_rng);
+    const RunResult r = executor.run(engine, streams.deploy, streams.run);
     if (!r.solved && budget_bounds && r.rounds == round_budget) {
       TrialProvenance prov;
       prov.round = round_budget;
@@ -55,18 +53,6 @@ std::optional<CheckpointEntry> run_trial_attempt(const TrialExecutor& executor,
                             ErrorCategory::kEngine, "non-standard exception", {}};
   }
   return std::nullopt;
-}
-
-ShardOutcome run_shard(
-    const TrialExecutor& executor, const CampaignConfig& config,
-    std::size_t lo, std::size_t hi, const std::string& worker,
-    const std::function<void(const CheckpointEntry&)>& on_entry) {
-  FCR_ENSURE_ARG(lo <= hi && hi <= config.trial.trials,
-                 "shard [" << lo << ", " << hi << ") out of range");
-  std::vector<std::size_t> trials;
-  trials.reserve(hi - lo);
-  for (std::size_t t = lo; t < hi; ++t) trials.push_back(t);
-  return run_shard(executor, config, trials, worker, on_entry);
 }
 
 ShardOutcome run_shard(

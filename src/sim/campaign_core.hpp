@@ -50,7 +50,7 @@ struct ShardOutcome {
 };
 
 /// One deterministic attempt of trial `trial`. Attempt 1 uses exactly the
-/// run_trials streams master.split(2t)/split(2t+1); attempt a > 1
+/// run_trials streams, trial_streams(Rng(seed), trial); attempt a > 1
 /// re-splits those base streams by the attempt number. The campaign
 /// watchdog's round budget lowers the engine's max_rounds, so the run
 /// stays in word rounds; an unsolved trial that reaches the budget is
@@ -63,21 +63,15 @@ std::optional<CheckpointEntry> run_trial_attempt(const TrialExecutor& executor,
                                                  std::uint64_t attempt,
                                                  TrialFailure* failure);
 
-/// Runs trials [lo, hi) serially to completion with the campaign's retry
-/// policy: each trial is attempted up to retry.max_attempts times and
-/// quarantined after. Outcomes are bit-identical to the pass-based retry
-/// of the local backend (a trial's result depends only on its attempt
-/// number, never on interleaving). `worker` stamps every failure record;
-/// `on_entry`, when set, observes each completed entry in trial order —
-/// the fcrw worker uses it to stream heartbeats and persist shard
-/// checkpoints between trials.
-ShardOutcome run_shard(
-    const TrialExecutor& executor, const CampaignConfig& config,
-    std::size_t lo, std::size_t hi, const std::string& worker,
-    const std::function<void(const CheckpointEntry&)>& on_entry = {});
-
-/// Same, over an explicit trial list (a lease's shard — retries can make
-/// the pending set non-contiguous).
+/// Runs `trials` (a lease's shard; retries can make it non-contiguous)
+/// serially to completion with the campaign's retry policy: each trial is
+/// attempted up to retry.max_attempts times and quarantined after.
+/// Outcomes are bit-identical to the pass-based retry of the local backend
+/// (a trial's result depends only on its attempt number, never on
+/// interleaving). `worker` stamps every failure record; `on_entry`, when
+/// set, observes each completed entry in trial order — the fcrw worker
+/// uses it to stream heartbeats and persist shard checkpoints between
+/// trials.
 ShardOutcome run_shard(
     const TrialExecutor& executor, const CampaignConfig& config,
     const std::vector<std::size_t>& trials, const std::string& worker,

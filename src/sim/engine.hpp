@@ -79,7 +79,7 @@ struct RoundView {
   std::span<const NodeId> listeners;
   std::span<const Feedback> listener_feedback;
   /// Virtual path: protocol objects indexed by NodeId, for state probes.
-  /// Non-owning: the engine's workspace owns the nodes (slab or heap).
+  /// Non-owning: the engine's workspace owns the nodes.
   /// Empty on the columnar path.
   std::span<NodeProtocol* const> nodes;
   /// Columnar path: active bitmask words (bit id = node id contending) and
@@ -114,7 +114,7 @@ using RoundObserver = std::function<void(const RoundView&)>;
 
 /// Runs one execution. `rng` seeds each node's private stream via split().
 /// Runs on the calling thread's ExecutionWorkspace (sim/workspace.hpp), so
-/// repeated executions on one thread reuse node storage and round buffers;
+/// repeated executions on one thread reuse its columns and round buffers;
 /// results are bit-identical to a fresh engine.
 RunResult run_execution(const Deployment& dep, const Algorithm& algorithm,
                         const ChannelAdapter& channel, const EngineConfig& config,

@@ -51,7 +51,7 @@ TrialSetResult run_trials_parallel(const DeploymentFactory& make_deployment,
   // Per-trial slots, filled independently; order restored afterwards so the
   // aggregate is identical to the serial runner's. Determinism comes from
   // the SEEDING, not the schedule: trial t always derives its streams from
-  // master.split(2t) / master.split(2t+1), whatever thread runs it.
+  // trial_streams(master, t), whatever thread runs it.
   struct Slot {
     bool solved = false;
     std::uint64_t rounds = 0;
@@ -59,8 +59,8 @@ TrialSetResult run_trials_parallel(const DeploymentFactory& make_deployment,
   std::vector<Slot> slots(config.trials);
 
   const auto run_one = [&](std::size_t t) {
-    const RunResult r = executor.run(config.engine, master.split(2 * t),
-                                     master.split(2 * t + 1));
+    const TrialStreams streams = trial_streams(master, t);
+    const RunResult r = executor.run(config.engine, streams.deploy, streams.run);
     slots[t].solved = r.solved;
     slots[t].rounds = r.rounds;
   };

@@ -52,14 +52,6 @@ class NodeProtocol {
   virtual bool is_contending() const { return true; }
 };
 
-/// Storage requirements of an algorithm's node type, for slab placement.
-/// size == 0 means "no in-place support" (the engine heap-allocates via
-/// make_node instead).
-struct NodeLayout {
-  std::size_t size = 0;
-  std::size_t align = 0;
-};
-
 /// Mutable view over the engine-owned columnar (structure-of-arrays) node
 /// state for one execution. Instead of one virtual state machine per node,
 /// a ColumnarAlgorithm reads and writes these flat arrays, all indexed by
@@ -170,28 +162,10 @@ class Algorithm {
 
   virtual std::string name() const = 0;
 
-  /// Creates the state machine for node `id` with its private random stream.
+  /// Creates the state machine for node `id` with its private random
+  /// stream. The only node constructor: the reference round loop builds
+  /// every node of a run through it, in id order with stream rng.split(id).
   virtual std::unique_ptr<NodeProtocol> make_node(NodeId id, Rng rng) const = 0;
-
-  /// Storage layout of one node, when the algorithm supports in-place
-  /// construction into an engine-owned slab (see construct_node_at).
-  /// Default: no in-place support ({0, 0}).
-  virtual NodeLayout node_layout() const { return {}; }
-
-  /// Constructs the node for `id` into `storage` (node_layout().size bytes,
-  /// node_layout().align aligned — any power of two, including over-aligned
-  /// types: the slab pads and rounds its base up past max_align_t) and
-  /// returns it. The node MUST behave exactly like make_node(id, rng)'s —
-  /// same decisions from the same rng stream; the engine's slab path is
-  /// bit-identical to the heap path. The caller destroys it by virtual
-  /// ~NodeProtocol. Only called when node_layout().size > 0; default aborts.
-  virtual NodeProtocol* construct_node_at(void* storage, NodeId id,
-                                          Rng rng) const {
-    (void)storage;
-    (void)id;
-    (void)rng;
-    return nullptr;
-  }
 
   /// The algorithm's columnar (SoA) capability, or nullptr when it only
   /// provides per-node virtual state machines. Implementations return

@@ -20,16 +20,14 @@ TrialSetResult run_trials(const DeploymentFactory& make_deployment,
   out.rounds.reserve(config.trials);
 
   for (std::size_t t = 0; t < config.trials; ++t) {
-    Rng deploy_rng = master.split(2 * t);
-    const Rng run_rng = master.split(2 * t + 1);
-
-    const Deployment dep = make_deployment(deploy_rng);
+    TrialStreams streams = trial_streams(master, t);
+    const Deployment dep = make_deployment(streams.deploy);
     const std::unique_ptr<ChannelAdapter> channel = make_channel(dep);
     const std::unique_ptr<Algorithm> algorithm = make_algorithm(dep);
     FCR_CHECK(channel != nullptr && algorithm != nullptr);
 
     const RunResult r =
-        run_execution(dep, *algorithm, *channel, config.engine, run_rng);
+        run_execution(dep, *algorithm, *channel, config.engine, streams.run);
     if (r.solved) {
       ++out.solved;
       out.rounds.push_back(r.rounds);

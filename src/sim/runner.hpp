@@ -7,6 +7,7 @@
 // R) can be configured per trial.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -47,8 +48,21 @@ struct TrialConfig {
   EngineConfig engine;
 };
 
-/// Runs `config.trials` independent executions; trial t uses the split
-/// streams master.split(t) for deployment generation and execution.
+/// The two streams of trial `trial` under `master`: its deployment draws
+/// from master.split(2 * trial) and its execution from
+/// master.split(2 * trial + 1). Every trial runner, a campaign's first
+/// attempt and fcrsim's instance description take a trial's streams from
+/// here, so trial t is the same instance wherever it is built.
+struct TrialStreams {
+  Rng deploy;
+  Rng run;
+};
+inline TrialStreams trial_streams(const Rng& master, std::size_t trial) {
+  return {master.split(2 * trial), master.split(2 * trial + 1)};
+}
+
+/// Runs `config.trials` independent executions; trial t uses
+/// trial_streams(Rng(config.seed), t).
 TrialSetResult run_trials(const DeploymentFactory& make_deployment,
                           const ChannelFactory& make_channel,
                           const AlgorithmFactory& make_algorithm,

@@ -13,9 +13,11 @@
 
 namespace fcr {
 
-/// Control block for one for_each() call. Lives on the caller's stack via
-/// shared_ptr copies inside the queued pump closures; the caller cannot
-/// return before every pump finished, so the fn pointer stays valid.
+/// Control block for one for_each() call, shared by the caller and the
+/// queued pump closures. The caller returns once every index has been
+/// claimed and every pump that started has finished; a pump that starts
+/// later finds no index left and never touches the fn pointer, so fn only
+/// has to outlive the call.
 struct ThreadPool::Batch {
   std::size_t count = 0;
   const std::function<void(std::size_t)>* fn = nullptr;
@@ -30,7 +32,10 @@ struct ThreadPool::Batch {
   /// caller's participating pump — rendered as "pool#K" / "caller" in the
   /// rethrown error's worker provenance.
   std::size_t failed_worker FCR_GUARDED_BY(m) = kNoIndex;
-  std::size_t pending_pumps FCR_GUARDED_BY(m) = 0;
+  /// Helper pumps that have started and not yet finished. Queued pumps
+  /// are not counted: the caller never waits for a pump that no worker
+  /// has picked up.
+  std::size_t running FCR_GUARDED_BY(m) = 0;
 };
 
 namespace {
@@ -130,26 +135,29 @@ void ThreadPool::for_each(std::size_t count,
   if (max_parallelism != 0) {
     helpers = std::min(helpers, max_parallelism - 1);
   }
-  {
-    // Registered before submission so a pump that finishes instantly
-    // cannot see pending_pumps hit zero early.
-    const MutexLock lock(batch->m);
-    batch->pending_pumps = helpers;
-  }
   for (std::size_t i = 0; i < helpers; ++i) {
     submit([batch] {
+      {
+        // Counted before claiming: a pump that claims an index is one the
+        // caller waits for.
+        const MutexLock lock(batch->m);
+        ++batch->running;
+      }
       run_pump(*batch);
       const MutexLock lock(batch->m);
-      if (--batch->pending_pumps == 0) batch->done_cv.notify_all();
+      if (--batch->running == 0) batch->done_cv.notify_all();
     });
   }
 
   // Caller participates: progress is guaranteed even if every worker is
-  // busy pumping other batches.
+  // busy pumping other batches, or is itself blocked in a nested
+  // for_each on this pool. The caller's pump returns only once every
+  // index is claimed (or the batch aborted), so what is left to wait for
+  // is the pumps already running; pumps still queued find nothing to do.
   run_pump(*batch);
 
   const MutexLock lock(batch->m);
-  while (batch->pending_pumps != 0) batch->m.wait(batch->done_cv);
+  while (batch->running != 0) batch->m.wait(batch->done_cv);
   if (batch->error) {
     // Rethrow as a structured fcr::Error carrying WHICH task failed —
     // callers (the trial runner, the campaign) map the task index back to

@@ -11,8 +11,9 @@
 //     thread also pumps. The pumps of a batch are interchangeable, so one
 //     queue loses nothing to per-worker queues. Caller participation
 //     guarantees progress even when every worker is busy with other
-//     batches, so concurrent for_each() calls (racing sweep drivers)
-//     cannot deadlock;
+//     batches, and the caller waits only for pumps that have started, so
+//     neither concurrent for_each() calls (racing sweep drivers) nor
+//     nested ones (a task calling for_each on its own pool) can deadlock;
 //   * pumps re-check the batch's abort flag BEFORE claiming an index, so
 //     after a task throws, no further index starts executing; the first
 //     exception is rethrown in the caller once the batch drains.
@@ -56,7 +57,8 @@ class ThreadPool {
   /// `max_parallelism` caps the number of threads working on this batch
   /// INCLUDING the caller (0 = no cap). If a task throws, no new index is
   /// claimed afterwards and the first exception is rethrown here once the
-  /// in-flight tasks drain. Safe to call from several threads at once.
+  /// in-flight tasks drain. Safe to call from several threads at once,
+  /// and from inside a task of this pool.
   void for_each(std::size_t count, const std::function<void(std::size_t)>& fn,
                 std::size_t max_parallelism = 0);
 

@@ -20,8 +20,6 @@ struct NodeTeardownGuard {
   }
 };
 
-ExecutionWorkspace::~ExecutionWorkspace() { destroy_nodes(); }
-
 ExecutionWorkspace& ExecutionWorkspace::for_current_thread() {
   thread_local ExecutionWorkspace workspace;
   return workspace;
@@ -29,59 +27,15 @@ ExecutionWorkspace& ExecutionWorkspace::for_current_thread() {
 
 void ExecutionWorkspace::prepare_nodes(const Algorithm& algorithm, Rng& rng,
                                        std::size_t n) {
+  node_owners_.clear();
   nodes_.clear();
-  heap_nodes_.clear();
-  const NodeLayout layout = algorithm.node_layout();
-  if (layout.size == 0) {
-    // No in-place support: heap fallback, identical to the old engine.
-    heap_nodes_.reserve(n);
-    nodes_.reserve(n);
-    for (NodeId id = 0; id < n; ++id) {
-      heap_nodes_.push_back(algorithm.make_node(id, rng.split(id)));
-      FCR_CHECK_MSG(heap_nodes_.back() != nullptr,
-                    "algorithm '" << algorithm.name() << "' returned null node");
-      nodes_.push_back(heap_nodes_.back().get());
-    }
-    return;
-  }
-
-  FCR_ENSURE_ARG(layout.align > 0 && (layout.align & (layout.align - 1)) == 0,
-                 "node_layout().align must be a power of two, got "
-                     << layout.align);
-  const std::size_t stride =
-      (layout.size + layout.align - 1) / layout.align * layout.align;
-  // new[] only guarantees max_align_t alignment; over-aligned node types
-  // (e.g. cache-line-padded state) get their slab base rounded up by hand,
-  // paid for with align-1 bytes of padding. Every stride slot then inherits
-  // the base's alignment because stride is a multiple of align.
-  const std::size_t pad =
-      layout.align > alignof(std::max_align_t) ? layout.align - 1 : 0;
-  const std::size_t need = stride * n + pad;
-  if (slab_bytes_ < need) {
-    // Geometric growth: a sweep ramping n up reallocates O(log n) times,
-    // then never again.
-    const std::size_t bytes = std::max(need, slab_bytes_ * 2);
-    slab_ = std::make_unique<std::byte[]>(bytes);
-    slab_bytes_ = bytes;
-  }
-  std::byte* base = slab_.get();
-  if (pad != 0) {
-    const auto addr = reinterpret_cast<std::uintptr_t>(base);
-    const auto aligned =
-        (addr + layout.align - 1) & ~(static_cast<std::uintptr_t>(layout.align) - 1);
-    base += aligned - addr;
-  }
-
+  node_owners_.reserve(n);
   nodes_.reserve(n);
   for (NodeId id = 0; id < n; ++id) {
-    NodeProtocol* node =
-        algorithm.construct_node_at(base + stride * id, id, rng.split(id));
-    FCR_CHECK_MSG(node != nullptr,
-                  "algorithm '" << algorithm.name()
-                                << "' publishes a node_layout but "
-                                   "construct_node_at returned null");
-    nodes_.push_back(node);
-    ++constructed_;
+    node_owners_.push_back(algorithm.make_node(id, rng.split(id)));
+    FCR_CHECK_MSG(node_owners_.back() != nullptr,
+                  "algorithm '" << algorithm.name() << "' returned null node");
+    nodes_.push_back(node_owners_.back().get());
   }
 }
 
@@ -117,15 +71,8 @@ void ExecutionWorkspace::prepare_columns(const ColumnarAlgorithm& columnar,
 }
 
 void ExecutionWorkspace::destroy_nodes() {
-  // Reverse construction order, mirroring how a vector of by-value nodes
-  // would unwind. heap_nodes_ owns the fallback path's nodes; exactly one
-  // of the two paths is populated per run.
-  for (std::size_t i = constructed_; i > 0; --i) {
-    nodes_[i - 1]->~NodeProtocol();
-  }
-  constructed_ = 0;
-  heap_nodes_.clear();
   nodes_.clear();
+  node_owners_.clear();
 }
 
 RunResult ExecutionWorkspace::run(const Deployment& dep,

@@ -1,18 +1,16 @@
 // ExecutionWorkspace: all per-execution state of the round engine, owned in
-// one reusable object so steady-state trials perform ZERO heap allocations.
-//
-// The engine used to pay the allocator per execution: one unique_ptr per
-// node plus fresh transmitter/listener/feedback vectors. A workspace keeps
-//   * a node SLAB — algorithms that implement Algorithm::node_layout() /
-//     construct_node_at() get their per-node state machines placement-built
-//     into one reused byte buffer (others fall back to make_node and still
-//     work, they just keep allocating);
+// one reusable object so steady-state fast-path trials perform ZERO heap
+// allocations. A workspace keeps
 //   * the COLUMNAR arrays — algorithms exposing Algorithm::columnar() run
 //     as structure-of-arrays passes over flat per-node columns (active
 //     bitmask, probability, aux, lane-blocked rng streams) instead of
 //     virtual dispatch; the columns follow the same reserve-then-refill
-//     idiom as the round buffers, so warm columnar runs also allocate zero
+//     idiom as the round buffers, so warm columnar runs allocate zero
 //     bytes;
+//   * the reference loop's nodes, built by Algorithm::make_node, the one
+//     node constructor: n small allocations per reference run, paid only
+//     below kFastCutover, by algorithms without a decide kernel and by
+//     callers pinned to ExecutionPath::kReference;
 //   * the round buffers (transmitters, listeners, listener feedback) of
 //     the reference loop and of materialized columnar rounds, which only
 //     ever shrink-to-reuse via clear()/assign().
@@ -23,9 +21,9 @@
 //
 // Reset discipline (checked by fcrlint's workspace-reset rule): every
 // container reused across runs is clear()ed/assign()ed at the start of the
-// scope that refills it; slab nodes are destroyed (reverse order) by a
-// guard as soon as the run ends, so a workspace between runs holds only
-// raw capacity, never live protocol state.
+// scope that refills it; the nodes are destroyed by a guard as soon as the
+// run ends, so a workspace between runs holds only raw capacity, never
+// live protocol state.
 //
 // One workspace serves one thread at a time (it is mutable scratch, like
 // BatchResolver). for_current_thread() hands out a thread_local instance;
@@ -56,7 +54,6 @@ class ExecutionWorkspace {
   static constexpr std::size_t kFastCutover = 8;
 
   ExecutionWorkspace() = default;
-  ~ExecutionWorkspace();
 
   ExecutionWorkspace(const ExecutionWorkspace&) = delete;
   ExecutionWorkspace& operator=(const ExecutionWorkspace&) = delete;
@@ -80,9 +77,8 @@ class ExecutionWorkspace {
  private:
   friend struct NodeTeardownGuard;
 
-  /// Builds the per-node state machines for this run: placement-new into
-  /// the slab when the algorithm publishes a layout, heap fallback
-  /// otherwise. Either way nodes_[id] is the node for id.
+  /// Builds the per-node state machines for this run:
+  /// nodes_[id] = make_node(id, rng.split(id)), in id order.
   void prepare_nodes(const Algorithm& algorithm, Rng& rng, std::size_t n);
 
   /// Builds the columnar state for this run: seeds the lane streams with
@@ -126,18 +122,13 @@ class ExecutionWorkspace {
                     const EngineConfig& config, const RoundObserver& observer,
                     RunResult& result);
 
-  /// Destroys slab nodes in reverse construction order and releases heap
-  /// fallback nodes. Safe on partially constructed state.
+  /// Destroys the run's nodes. Safe on partially constructed state.
   void destroy_nodes();
 
-  // Node storage. slab_ holds constructed_ live nodes at stride_ spacing;
-  // heap_nodes_ owns the fallback path's nodes. nodes_ is the id-indexed
-  // view over whichever path built this run.
-  std::unique_ptr<std::byte[]> slab_;
-  std::size_t slab_bytes_ = 0;
-  std::size_t constructed_ = 0;
+  // Node storage: node_owners_ owns the run's nodes; nodes_ is the
+  // id-indexed pointer view RoundView::nodes hands to observers.
+  std::vector<std::unique_ptr<NodeProtocol>> node_owners_;
   std::vector<NodeProtocol*> nodes_;
-  std::vector<std::unique_ptr<NodeProtocol>> heap_nodes_;
 
   // Round buffers, reused across rounds and runs.
   std::vector<NodeId> transmitters_;

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <latch>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -175,6 +179,35 @@ TEST(ThreadPool, ConcurrentForEachCallsOnOnePoolBothComplete) {
   other.join();
   EXPECT_EQ(a.load(), 5000u);
   EXPECT_EQ(b.load(), 5000u);
+}
+
+TEST(ThreadPool, NestedForEachFromEveryWorkerCompletes) {
+  // Both workers and the caller each hold one outer task (the latch keeps
+  // all three in before any goes on) and call for_each on the same pool,
+  // so no worker is free to pop the inner batches' queued pumps; each
+  // nested caller must finish its batch on its own. The nest runs on a
+  // detached thread that co-owns the pool, so a deadlock fails this test
+  // after the wait instead of hanging the suite.
+  struct Nest {
+    ThreadPool pool{2};
+    std::latch all_outer_started{3};
+    std::atomic<std::size_t> inner{0};
+  };
+  const auto nest = std::make_shared<Nest>();
+  std::packaged_task<void()> run([nest] {
+    nest->pool.for_each(3, [&](std::size_t) {
+      nest->all_outer_started.arrive_and_wait();
+      nest->pool.for_each(4, [&](std::size_t) {
+        nest->inner.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+  });
+  std::future<void> done = run.get_future();
+  std::thread(std::move(run)).detach();
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(20)), std::future_status::ready)
+      << "nested for_each did not complete within 20 s";
+  done.get();
+  EXPECT_EQ(nest->inner.load(), 12u);
 }
 
 // ------------------------------------------------- pool-reuse trial stress

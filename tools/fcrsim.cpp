@@ -128,25 +128,23 @@ int run(int argc, const char* const* argv) {
   config.seed = spec.seed;
   config.engine.max_rounds = spec.max_rounds;
 
-  // Describe the instance once.
-  {
-    Rng probe_rng(config.seed);
-    const Deployment probe = deploy(probe_rng);
-    const auto ch = channel(probe);
-    std::cout << "instance: n = " << probe.size() << ", R = "
-              << probe.link_ratio() << " (" << probe.link_class_count()
-              << " link classes), channel = " << ch->name()
-              << ", algorithm = " << algorithm(probe)->name() << '\n';
-    if (cli.get_bool("describe")) {
-      std::cout << '\n' << to_string(describe(probe));
-    }
-    if (cli.get_bool("validate")) {
-      const SinrParams audit_params = SinrParams::for_longest_link(
-          spec.alpha, spec.beta, spec.noise,
-          probe.size() >= 2 ? probe.max_link() : 1.0);
-      std::cout << "\nmodel audit (paper Section 2 assumptions):\n"
-                << validate_model(probe, audit_params).to_string() << '\n';
-    }
+  // Describe trial 0's instance: the deployment the first trial, --trace
+  // and --deployment-out all use.
+  TrialStreams trial0 = trial_streams(Rng(config.seed), 0);
+  const Deployment dep0 = deploy(trial0.deploy);
+  std::cout << "instance: n = " << dep0.size() << ", R = "
+            << dep0.link_ratio() << " (" << dep0.link_class_count()
+            << " link classes), channel = " << channel(dep0)->name()
+            << ", algorithm = " << algorithm(dep0)->name() << '\n';
+  if (cli.get_bool("describe")) {
+    std::cout << '\n' << to_string(describe(dep0));
+  }
+  if (cli.get_bool("validate")) {
+    const SinrParams audit_params = SinrParams::for_longest_link(
+        spec.alpha, spec.beta, spec.noise,
+        dep0.size() >= 2 ? dep0.max_link() : 1.0);
+    std::cout << "\nmodel audit (paper Section 2 assumptions):\n"
+              << validate_model(dep0, audit_params).to_string() << '\n';
   }
 
   // Campaign mode (per-trial isolation, retry, checkpoint/resume, fabric
@@ -238,14 +236,11 @@ int run(int argc, const char* const* argv) {
 
   if (const std::string trace_path = cli.get_string("trace");
       !trace_path.empty()) {
-    Rng rng(config.seed);
-    Rng deploy_rng = rng.split(0);
-    const Deployment dep = deploy(deploy_rng);
-    const auto ch = channel(dep);
-    const auto algo = algorithm(dep);
+    const auto ch = channel(dep0);
+    const auto algo = algorithm(dep0);
     ExecutionTrace trace;
-    EngineConfig ec = config.engine;
-    run_execution(dep, *algo, *ch, ec, rng.split(1), trace.observer());
+    run_execution(dep0, *algo, *ch, config.engine, trial0.run,
+                  trace.observer());
     std::ofstream out(trace_path);
     FCR_ENSURE_ARG(out.good(), "cannot open trace output: " << trace_path);
     trace.write_csv(out);
@@ -256,7 +251,7 @@ int run(int argc, const char* const* argv) {
       std::ofstream dep_out(dep_path);
       FCR_ENSURE_ARG(dep_out.good(),
                      "cannot open deployment output: " << dep_path);
-      write_deployment_csv(dep, dep_out);
+      write_deployment_csv(dep0, dep_out);
       std::cout << "wrote the traced deployment to " << dep_path << '\n';
     }
   }

@@ -1,4 +1,6 @@
 # CTest driver: fcrsim's run modes must agree from the command line.
+#   0. The instance line describes trial 0's deployment: a traced run and a
+#      run of its --deployment-out file print the same line.
 #   1. On a fixed deployment with a stateful channel (rayleigh), the plain
 #      batch, a checkpointing serial campaign and a 3-thread campaign write
 #      the same CSV.
@@ -35,9 +37,18 @@ file(REMOVE ${W}_dep.csv ${W}_dep2.csv ${W}_trace.csv ${W}_plain.csv
      ${W}_ckpt.csv ${W}_threads.csv ${W}.ckpt ${W}_a3.csv ${W}_a4.csv
      ${W}_resumed.csv ${W}_file.ckpt ${W}_file_resumed.csv ${W}_file2.csv)
 
-# --- 1. fixed deployment, stateful channel: every mode writes one CSV.
-fcrsim(ignored --n 64 --trials 1 --trace ${W}_trace.csv
+# --- 0. the instance line is trial 0's deployment.
+fcrsim(traced --n 64 --trials 1 --trace ${W}_trace.csv
        --deployment-out ${W}_dep.csv)
+fcrsim(reread --deployment-file ${W}_dep.csv --trials 1)
+string(REGEX MATCH "instance:[^\n]*" traced_line "${traced}")
+string(REGEX MATCH "instance:[^\n]*" reread_line "${reread}")
+if(traced_line STREQUAL "" OR NOT traced_line STREQUAL reread_line)
+  message(FATAL_ERROR "the instance line is not the traced deployment's:\n"
+                      "${traced_line}\n${reread_line}")
+endif()
+
+# --- 1. fixed deployment, stateful channel: every mode writes one CSV.
 set(fixed --deployment-file ${W}_dep.csv --channel rayleigh --trials 40
           --max-rounds 100000)
 fcrsim(ignored ${fixed} --csv ${W}_plain.csv)
