@@ -80,12 +80,12 @@ int run(int argc, const char* const* argv) {
         fading_always_solves = false;
       }
 
-      std::string knows;
-      if (spec.needs_size_bound) knows = "n";
-      if (spec.needs_collision_detection) {
-        knows = knows.empty() ? std::string("CD") : std::string("n+CD");
+      const char* knows = "-";
+      if (spec.needs_size_bound) {
+        knows = spec.needs_collision_detection ? "n+CD" : "n";
+      } else if (spec.needs_collision_detection) {
+        knows = "CD";
       }
-      if (knows.empty()) knows = "-";
 
       table.row({spec.key, knows,
                  TablePrinter::fmt(static_cast<std::uint64_t>(n)),

@@ -121,16 +121,20 @@ int run(int argc, const char* const* argv) {
     Rng rng(kSeed + k);
     RandomHalfPlayer player(k, rng);
     const auto target = adversarial_target(player, k, bound - 1);
-    if (!target) adversary_ok = false;
+    std::string survivor;
+    if (target) {
+      survivor.append("{")
+          .append(TablePrinter::fmt(static_cast<std::uint64_t>(target->first)))
+          .append(",")
+          .append(TablePrinter::fmt(static_cast<std::uint64_t>(target->second)))
+          .append("} survives");
+    } else {
+      adversary_ok = false;
+      survivor.append("none (violates pigeonhole!)");
+    }
     adv_table.row({TablePrinter::fmt(static_cast<std::uint64_t>(k)),
                    TablePrinter::fmt(static_cast<std::uint64_t>(bound)),
-                   target ? "{" + TablePrinter::fmt(static_cast<std::uint64_t>(
-                                      target->first)) +
-                                "," +
-                                TablePrinter::fmt(static_cast<std::uint64_t>(
-                                    target->second)) +
-                                "} survives"
-                          : "none (violates pigeonhole!)"});
+                   survivor});
   }
   emit(cli, adv_table, "e7_lower_bound_adv_table");
 

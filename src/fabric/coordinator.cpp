@@ -38,6 +38,7 @@ SocketBackend::SocketBackend(FabricConfig config)
                  "lease_timeout_ms must be positive");
   FCR_ENSURE_ARG(config_.max_worker_strikes > 0,
                  "max_worker_strikes must be positive");
+  listener_ = listen_unix(config_.socket_path);
 }
 
 SocketBackend::~SocketBackend() {
@@ -50,11 +51,7 @@ SocketBackend::~SocketBackend() {
       try { w->ch.send(bye); } catch (...) {}
     }
   }
-  if (!config_.socket_path.empty()) ::unlink(config_.socket_path.c_str());
-}
-
-void SocketBackend::ensure_listener() {
-  if (!listener_.valid()) listener_ = listen_unix(config_.socket_path);
+  ::unlink(config_.socket_path.c_str());
 }
 
 std::uint64_t SocketBackend::backoff_ms(const Worker& w) const {
@@ -238,7 +235,6 @@ void SocketBackend::run_pass(CampaignCore& core,
   FCR_ENSURE_ARG(core.config_hash() == spec_hash_,
                  "fabric spec does not describe this campaign "
                  "(config hash mismatch)");
-  ensure_listener();
 
   unassigned_.clear();
   leases_.clear();

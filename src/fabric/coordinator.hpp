@@ -54,6 +54,9 @@ struct FabricConfig {
 
 class SocketBackend final : public CampaignBackend {
  public:
+  /// Listens on `config.socket_path` from construction to destruction:
+  /// workers may dial in before run_with, and the destructor unlinks the
+  /// socket file. Throws fcr::Error(kIo) when the path cannot be bound.
   explicit SocketBackend(FabricConfig config);
   ~SocketBackend() override;
 
@@ -82,7 +85,6 @@ class SocketBackend final : public CampaignBackend {
   struct Worker;
   struct Lease;
 
-  void ensure_listener();
   void grant_or_defer(CampaignCore& core, Worker& w);
   void revoke_lease(std::uint64_t lease_id, const char* why);
   void strike(Worker& w, const char* why);

@@ -37,7 +37,9 @@ enum class MsgType : std::uint8_t {
   kHello = 1,         ///< worker -> coord: here I am (payload: worker name)
   kLeaseRequest = 2,  ///< worker -> coord: give me a shard
   kLeaseGrant = 3,    ///< coord -> worker: lease id + trial list + spec
-  kNoWork = 4,        ///< coord -> worker: nothing now; retry after backoff
+  kNoWork = 4,        ///< coord -> worker: nothing now; the worker waits on
+                      ///< its socket for the backoff, and a Shutdown ends
+                      ///< that wait at once; then it re-requests
   kHeartbeat = 5,     ///< worker -> coord: lease alive, progress count
   kShardResult = 6,   ///< worker -> coord: checkpoint bytes + failures
   kResultAck = 7,     ///< coord -> worker: result merged, lease closed

@@ -74,6 +74,18 @@ std::optional<Frame> await_frame(FrameChannel& ch, std::uint64_t timeout_ms) {
   }
 }
 
+/// Idles on the channel until `deadline`: true as soon as a Shutdown
+/// arrives, false on timeout or EOF. Any other frame is stale and
+/// discarded. Throws like await_frame on a poisoned stream.
+bool await_shutdown(FrameChannel& ch, std::uint64_t deadline) {
+  for (std::uint64_t now = steady_ms(); now < deadline; now = steady_ms()) {
+    const std::optional<Frame> f = await_frame(ch, deadline - now);
+    if (!f) return false;
+    if (f->type == MsgType::kShutdown) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 bool run_worker(const WorkerConfig& config, WorkerStats* stats) {
@@ -115,8 +127,8 @@ bool run_worker(const WorkerConfig& config, WorkerStats* stats) {
       // will recompute — nothing is lost either way.
       if (!ch->open() && !reconnect()) return true;
       // Drain anything queued before requesting: a Shutdown can arrive
-      // while we sleep on a NoWork backoff or between leases, and the
-      // coordinator may close right after sending it.
+      // between leases, and the coordinator may close right after
+      // sending it.
       try {
         ch->pump();
         while (auto queued = ch->next()) {
@@ -144,8 +156,22 @@ bool run_worker(const WorkerConfig& config, WorkerStats* stats) {
 
       if (f->type == MsgType::kShutdown) return true;
       if (f->type == MsgType::kNoWork) {
-        const NoWorkMsg nw = decode_no_work(f->payload);
-        sleep_ms(std::min<std::uint64_t>(nw.backoff_ms, 10'000));
+        // Idle on the socket, not a timer, so the campaign's Shutdown ends
+        // the wait; a timeout or EOF re-requests or re-dials at the top.
+        const std::uint64_t start = steady_ms();
+        const std::uint64_t backoff =
+            std::min<std::uint64_t>(decode_no_work(f->payload).backoff_ms,
+                                    10'000);
+        bool shutdown = false;
+        try {
+          shutdown = await_shutdown(*ch, start + backoff);
+          // FCRLINT_ALLOW(error-discipline): poisoned stream while idle — close; the loop top re-dials
+        } catch (const Error&) {
+          ch->close();
+        }
+        ++st.no_work_waits;
+        st.no_work_wait_ms += steady_ms() - start;
+        if (shutdown) return true;
         continue;
       }
       if (f->type != MsgType::kLeaseGrant) continue;  // stale ack etc.

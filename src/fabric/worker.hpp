@@ -13,6 +13,10 @@
 // re-requested (the coordinator re-grants the SAME lease); a lost result
 // is re-sent until acked (duplicates merge as no-ops); a lost connection
 // is re-dialed and the loop restarts from lease-request.
+//
+// An idle worker waits on its socket, never on a timer: a NoWork reply
+// is a wait on the connection for the coordinator's backoff, so the
+// Shutdown that ends a campaign ends that wait at once.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +44,8 @@ struct WorkerStats {
   std::size_t trials = 0;      ///< trial entries computed
   std::size_t resends = 0;     ///< result frames re-sent awaiting ack
   std::size_t reconnects = 0;  ///< re-dials after a lost connection
+  std::size_t no_work_waits = 0;      ///< NoWork replies waited out
+  std::uint64_t no_work_wait_ms = 0;  ///< time spent in those waits
 };
 
 /// Runs the worker loop against `config.socket_path`. Returns true on a

@@ -87,7 +87,7 @@ std::vector<DeploymentCase> deployment_cases() {
   for (const std::size_t n : sizes) {
     Rng rng(900 + n);
     cases.push_back(
-        {"n" + std::to_string(n),
+        {std::string("n").append(std::to_string(n)),
          uniform_square(n, 1.5 * static_cast<double>(n) / 3.0, rng)
              .normalized()});
   }

@@ -116,7 +116,9 @@ TEST(DeploymentStats, RenderingMentionsEveryNonEmptyClass) {
   EXPECT_NE(text.find("link classes:"), std::string::npos);
   for (std::size_t i = 0; i < s.class_sizes.size(); ++i) {
     if (s.class_sizes[i] > 0) {
-      EXPECT_NE(text.find("d" + std::to_string(i) + "="), std::string::npos);
+      const std::string label =
+          std::string("d").append(std::to_string(i)).append("=");
+      EXPECT_NE(text.find(label), std::string::npos);
     }
   }
 }

@@ -9,6 +9,8 @@
 // under the sanitizers. Process-level kills are covered by
 // scripts/fabric_fault_matrix.sh.
 #include <chrono>
+#include <future>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -28,6 +31,7 @@
 #include "fabric/wire.hpp"
 #include "fabric/worker.hpp"
 #include "sim/campaign.hpp"
+#include "sim/campaign_core.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -125,6 +129,31 @@ FabricRun run_fabric(const fabric::SweepSpec& spec, fabric::FabricConfig fc,
   }
   for (std::thread& t : fleet) t.join();
   return out;
+}
+
+/// A raw client's dial, retried for up to ~2 s. Invalid Fd on failure.
+fabric::Fd dial_raw(const std::string& socket) {
+  fabric::Fd fd;
+  for (int i = 0; i < 200 && !fd.valid(); ++i) {
+    fd = fabric::connect_unix(socket);
+    if (!fd.valid()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  return fd;
+}
+
+/// A raw client's wait for its next frame: nullopt on timeout or EOF.
+std::optional<fabric::Frame> await_raw(fabric::FrameChannel& ch,
+                                       std::uint64_t timeout_ms) {
+  const std::uint64_t deadline = fabric::steady_ms() + timeout_ms;
+  while (fabric::steady_ms() < deadline) {
+    if (auto f = ch.next()) return f;
+    pollfd pfd{ch.fd(), POLLIN, 0};
+    ::poll(&pfd, 1, 10);
+    if (!ch.pump()) return ch.next();
+  }
+  return std::nullopt;
 }
 
 void expect_same_result(const CampaignResult& got, const CampaignResult& want) {
@@ -419,13 +448,7 @@ TEST(FabricCampaign, SilentWorkerLeaseExpiresWithAStrike) {
   {
     fabric::SocketBackend backend(std::move(fc));
     zombie = std::thread([&socket] {
-      fabric::Fd fd;
-      for (int i = 0; i < 200 && !fd.valid(); ++i) {
-        fd = fabric::connect_unix(socket);
-        if (!fd.valid()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-      }
+      fabric::Fd fd = dial_raw(socket);
       if (!fd.valid()) return;
       fabric::FrameChannel ch(std::move(fd));
       ch.send(fabric::Frame{fabric::MsgType::kHello,
@@ -453,6 +476,114 @@ TEST(FabricCampaign, SilentWorkerLeaseExpiresWithAStrike) {
   EXPECT_GE(run.stats.leases_expired, 1u);
   EXPECT_GE(run.stats.worker_strikes, 1u);
   EXPECT_EQ(run.stats.corrupt_results, 0u);
+}
+
+TEST(FabricCampaign, IdleWorkerLeavesOnShutdownNotAfterItsBackoff) {
+  // A worker told NoWork waits on its socket, not on a timer, so the
+  // Shutdown that ends the campaign ends a 10 s NoWork wait at once. A raw
+  // client holds the only lease; a real worker arriving after the grant is
+  // told NoWork with the worker's own 10 s cap as the backoff.
+  const fabric::SweepSpec spec = small_spec(4);
+  const CampaignResult local = run_local(spec);
+
+  const std::string socket = sock_path("idle");
+  fabric::FabricConfig fc = fast_fabric(spec, socket);
+  fc.lease_trials = spec.trials;  // one lease, taken by the raw client
+  fc.lease_timeout_ms = 5000;     // the raw client sends no heartbeats
+  fc.backoff_base_ms = 10'000;
+
+  const fabric::Factories f = fabric::make_factories(spec);
+  CampaignRunner runner(f.deploy, f.channel, f.algorithm,
+                        fabric::campaign_config(spec));
+  CampaignResult campaign;
+  fabric::SocketBackend::Stats stats;
+  std::promise<void> granted;
+  std::uint64_t result_sent_ms = 0;
+  std::uint64_t worker_exit_ms = 0;
+  int worker_clean = 0;
+  fabric::WorkerStats wstats;
+  std::thread holder;
+  std::thread idle;
+  {
+    fabric::SocketBackend backend(std::move(fc));
+    holder = std::thread([&] {
+      fabric::FrameChannel ch(dial_raw(socket));
+      ch.send(fabric::Frame{fabric::MsgType::kHello,
+                            fabric::encode_hello({"holder"})});
+      ch.send(fabric::Frame{fabric::MsgType::kLeaseRequest, {}});
+      const std::optional<fabric::Frame> g = await_raw(ch, 5000);
+      granted.set_value();
+      if (!g || g->type != fabric::MsgType::kLeaseGrant) {
+        ADD_FAILURE() << "the raw client got no grant";
+        return;
+      }
+      const fabric::LeaseGrantMsg grant =
+          fabric::decode_lease_grant(g->payload);
+      EXPECT_EQ(grant.trials.size(), spec.trials);
+
+      const fabric::Factories hf = fabric::make_factories(spec);
+      const TrialExecutor executor(hf.deploy, hf.channel, hf.algorithm);
+      const CampaignConfig cc = fabric::campaign_config(spec);
+      const std::vector<std::size_t> trials(grant.trials.begin(),
+                                            grant.trials.end());
+      const ShardOutcome out = run_shard(executor, cc, trials, "holder");
+      CheckpointData data;
+      data.config_hash = campaign_config_hash(cc);
+      data.total_trials = cc.trial.trials;
+      data.entries = out.entries;
+      const fabric::Frame result{
+          fabric::MsgType::kShardResult,
+          fabric::encode_shard_result(
+              {grant.lease, serialize_checkpoint(data), out.failures})};
+
+      // Let the real worker connect and settle into its NoWork wait.
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      result_sent_ms = fabric::steady_ms();
+      ch.send(result);
+      // Hang up on the ack or on Shutdown.
+      for (;;) {
+        const std::optional<fabric::Frame> r = await_raw(ch, 5000);
+        if (!r || r->type == fabric::MsgType::kResultAck ||
+            r->type == fabric::MsgType::kShutdown) {
+          break;
+        }
+      }
+      ch.close();
+    });
+    idle = std::thread([&] {
+      granted.get_future().wait();
+      worker_clean = fabric::run_worker(fast_worker(socket, "idle"), &wstats)
+                         ? 1
+                         : 0;
+      worker_exit_ms = fabric::steady_ms();
+    });
+    campaign = runner.run_with(backend);
+    stats = backend.stats();
+  }
+  holder.join();
+  idle.join();
+
+  expect_same_result(campaign, local);
+  EXPECT_EQ(stats.leases_granted, 1u);
+  EXPECT_EQ(wstats.leases, 0u);
+  EXPECT_TRUE(worker_clean);
+  EXPECT_GE(wstats.no_work_waits, 1u);
+  ASSERT_NE(result_sent_ms, 0u);
+  EXPECT_LT(worker_exit_ms, result_sent_ms + 2000)
+      << "the idle worker slept out its NoWork backoff";
+}
+
+TEST(FabricCampaign, ListenerIsOpenFromConstructionToDestruction) {
+  // A worker started beside the backend connects on its first dial, before
+  // run_with; the socket file goes with the backend even if run_with never
+  // ran.
+  const std::string socket = sock_path("listen");
+  {
+    fabric::SocketBackend backend(fast_fabric(small_spec(4), socket));
+    EXPECT_TRUE(fabric::connect_unix(socket).valid());
+  }
+  EXPECT_NE(::access(socket.c_str(), F_OK), 0)
+      << socket << " outlived the backend";
 }
 
 TEST(FabricCampaign, NoWorkersDegradesToLocalFallbackBitIdentically) {

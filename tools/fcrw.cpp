@@ -69,7 +69,9 @@ int run(int argc, const char* const* argv) {
   const bool clean = fabric::run_worker(wc, &stats);
   std::cout << wc.name << ": " << stats.leases << " lease(s), "
             << stats.trials << " trial(s), " << stats.resends
-            << " resend(s), " << stats.reconnects << " reconnect(s)"
+            << " resend(s), " << stats.reconnects << " reconnect(s), "
+            << stats.no_work_waits << " NoWork wait(s) ("
+            << stats.no_work_wait_ms << " ms)"
             << (clean ? "" : " [abandoned]") << '\n';
   return clean ? 0 : 2;
 }
