@@ -73,9 +73,10 @@ void BM_SinrResolve(benchmark::State& state) {
 BENCHMARK(BM_SinrResolve)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_BatchResolve(benchmark::State& state) {
-  // The certified-filter batch path (exact mode): bit-identical output to
-  // BM_SinrResolve's scan. The resolver persists across iterations the way
-  // it persists across a trial's rounds, so scratch reuse is measured too.
+  // The batch path (near/far screen from kScreenMinTransmitters up, then
+  // the certified filter): bit-identical output to BM_SinrResolve's scan.
+  // The resolver persists across iterations the way it persists across a
+  // trial's rounds, so scratch reuse is measured too.
   // scripts/perf_smoke.sh compares this against BM_SinrResolve at the same
   // n and records the ratio in BENCH_resolve.json.
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -95,6 +96,8 @@ void BM_BatchResolve(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(tx.size() * listeners.size()));
+  state.counters["screened"] =
+      static_cast<double>(resolver.last_stats().screened);
   state.counters["certified"] =
       static_cast<double>(resolver.last_stats().certified);
   state.counters["exact_fallbacks"] =
@@ -273,13 +276,12 @@ void BM_DecideKernelGeneric(benchmark::State& state) {
 }
 BENCHMARK(BM_DecideKernelGeneric)->Arg(256)->Arg(1024)->Arg(16384);
 
-void BM_ResolveMask(benchmark::State& state) {
-  // BatchResolver::resolve_mask: the bitmask round-resolution path the
-  // unobserved engine uses — word-skip transmitter enumeration straight
-  // from decision words, received bits packed back into a mask. Compare
-  // BM_BatchResolve at the same n for the id-vector materialization cost.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Deployment dep = make_uniform(n);
+/// One bitmask round on `dep` (alpha = 3, each node transmits with
+/// probability 0.2), resolved by BatchResolver::resolve_mask: the path the
+/// unobserved engine uses — word-skip transmitter enumeration straight
+/// from decision words, received bits packed back into a mask.
+void run_resolve_mask(benchmark::State& state, const Deployment& dep) {
+  const std::size_t n = dep.size();
   const SinrParams params =
       SinrParams::for_longest_link(3.0, 1.5, 1e-9, dep.max_link());
   BatchResolver resolver(params);
@@ -302,8 +304,41 @@ void BM_ResolveMask(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(tx_count * (n - tx_count)));
+  state.counters["screened"] =
+      static_cast<double>(resolver.last_stats().screened);
+}
+
+/// fcrsim's deployment of `kind` at n nodes, drawn from a fixed seed.
+Deployment make_kind(const char* kind, std::size_t n) {
+  fabric::SweepSpec spec;
+  spec.deployment = kind;
+  spec.n = n;
+  Rng rng(12345);
+  return fabric::make_factories(spec).deploy(rng);
+}
+
+void BM_ResolveMask(benchmark::State& state) {
+  // Uniform square. Compare BM_BatchResolve at the same n for the
+  // id-vector materialization cost.
+  run_resolve_mask(state,
+                   make_uniform(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_ResolveMask)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+
+void BM_ResolveMaskClusters(benchmark::State& state) {
+  // Eight Thomas clusters: the near/far screen's near field is about one
+  // cluster.
+  run_resolve_mask(
+      state, make_kind("clusters", static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_ResolveMaskClusters)->Arg(4096);
+
+void BM_ResolveMaskChain(benchmark::State& state) {
+  // Exponential chain: one row of the screen's tiles.
+  run_resolve_mask(
+      state, make_kind("chain", static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_ResolveMaskChain)->Arg(4096);
 
 void BM_FullExecution(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -9,6 +9,9 @@ machine:
 
   batch ratio  = BM_BatchResolve/4096   / BM_SinrResolve/4096
                  (batched resolver vs the reference per-round scan)
+  mask ratio   = BM_ResolveMask/4096    / BM_SinrResolve/4096
+                 (the engine's bitmask resolve, near/far screen included,
+                 vs the same reference scan)
   trial ratio  = BM_TrialWorkspace/256  / BM_FullExecution/256
                  (incrementally instrumented sweep vs the bare execution)
   fast ratio   = BM_FullExecutionRadio/1024 / BM_FullExecutionRadioVirtual/1024
@@ -47,6 +50,10 @@ THRESHOLD = 1.25  # fail when fresh_ratio > baseline_ratio * THRESHOLD
 
 RATIOS = [
     ("batch-resolve", "BM_BatchResolve/4096", "BM_SinrResolve/4096"),
+    # The bitmask entry point the unobserved engine calls every round; at
+    # n = 4096 its heavy rounds take the near/far tile screen. Growth past
+    # the baseline means the screen or the sweep behind it regressed.
+    ("mask-resolve", "BM_ResolveMask/4096", "BM_SinrResolve/4096"),
     ("instrumented-trial", "BM_TrialWorkspace/256", "BM_FullExecution/256"),
     # Fast path vs the per-node virtual reference at the headline size, on
     # the plain radio channel: its resolve is one flat pass, so the ratio

@@ -134,8 +134,9 @@ fi
 mv "$TMP" "$OUT"
 trap - EXIT
 
-# Non-gating speedup report (medians of the repetitions): batch vs
-# reference scan per n, the incremental-instrumentation gain on the trial
+# Non-gating speedup report (medians of the repetitions): batch and mask
+# resolve vs the reference scan per n (mask also on the clustered and
+# chain deployments), the incremental-instrumentation gain on the trial
 # benches, the fast path vs the per-node virtual reference (SINR per n,
 # and the engine-only radio pair the columnar-execution gate uses), the
 # auto-dispatched decide kernel vs the same kernel pinned to the generic
@@ -159,6 +160,14 @@ for name, t in sorted(runs.items()):
     if batch and mask:
         print(f"perf_smoke: resolve-mask n={n}: id-vector {batch/1e6:.3f} ms, "
               f"mask {mask/1e6:.3f} ms, speedup {batch/mask:.2f}x")
+    if mask:
+        print(f"perf_smoke: mask vs scan n={n}: scan {t/1e6:.3f} ms, "
+              f"mask {mask/1e6:.3f} ms, speedup {t/mask:.2f}x")
+for kind in ("Clusters", "Chain"):
+    mask = runs.get(f"BM_ResolveMask{kind}/4096")
+    if mask:
+        print(f"perf_smoke: resolve-mask {kind.lower()} n=4096: "
+              f"{mask/1e6:.3f} ms")
 rebuild = runs.get("BM_TrialInstrumentedRebuild/256")
 incr = runs.get("BM_TrialWorkspace/256")
 if rebuild and incr:

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -325,30 +326,38 @@ TEST(Workspace, ReentrantExecutionFromObserver) {
 }
 
 TEST(Workspace, SteadyStateExecutionsAllocateNothing) {
+  // n = 96 resolves every round with the resolver's filter sweep; at
+  // n = 2048 the first rounds (about 400 transmitters) also run its
+  // near/far tile screen, whose scratch must be warm as well.
   Rng gen(109);
-  const Deployment dep = uniform_square(96, 19.0, gen).normalized();
-  const auto channel = sinr_channel_factory(3.0, 1.5, 1e-9)(dep);
-  const FadingContentionResolution algo;
-  EngineConfig config;  // stop_on_solve, no history recording
+  for (const std::size_t n : {std::size_t{96}, std::size_t{2048}}) {
+    const double side =
+        n == 96 ? 19.0 : 2.0 * std::sqrt(static_cast<double>(n));
+    const Deployment dep = uniform_square(n, side, gen).normalized();
+    const auto channel = sinr_channel_factory(3.0, 1.5, 1e-9)(dep);
+    const FadingContentionResolution algo;
+    EngineConfig config;  // stop_on_solve, no history recording
 
-  ExecutionWorkspace ws;
-  // Warm pass: sizes every buffer (columns, round buffers, resolver scratch)
-  // for exactly the executions the measured pass repeats.
-  std::vector<RunResult> expected;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    expected.push_back(ws.run(dep, algo, *channel, config, Rng(seed)));
-  }
+    ExecutionWorkspace ws;
+    // Warm pass: sizes every buffer (columns, round buffers, resolver
+    // scratch) for exactly the executions the measured pass repeats.
+    std::vector<RunResult> expected;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      expected.push_back(ws.run(dep, algo, *channel, config, Rng(seed)));
+    }
 
-  const std::size_t before = g_allocations.load();
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const RunResult r = ws.run(dep, algo, *channel, config, Rng(seed));
-    EXPECT_EQ(r.solved, expected[seed - 1].solved);
-    EXPECT_EQ(r.rounds, expected[seed - 1].rounds);
-    EXPECT_EQ(r.winner, expected[seed - 1].winner);
+    const std::size_t before = g_allocations.load();
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const RunResult r = ws.run(dep, algo, *channel, config, Rng(seed));
+      EXPECT_EQ(r.solved, expected[seed - 1].solved) << "n " << n;
+      EXPECT_EQ(r.rounds, expected[seed - 1].rounds) << "n " << n;
+      EXPECT_EQ(r.winner, expected[seed - 1].winner) << "n " << n;
+    }
+    const std::size_t after = g_allocations.load();
+    EXPECT_EQ(after - before, 0u)
+        << "a warm workspace must run executions without heap allocation (n "
+        << n << ")";
   }
-  const std::size_t after = g_allocations.load();
-  EXPECT_EQ(after - before, 0u)
-      << "a warm workspace must run executions without heap allocation";
 }
 
 TEST(Workspace, WarmRunsAllocateNothingForEveryRegistryAlgorithm) {

@@ -88,10 +88,43 @@ inline bool encoding_prefix(std::string_view id) {
 
 /// Multi-character punctuators, longest first within each first-char group;
 /// maximal munch tries 3-char then 2-char matches before the single char.
-inline constexpr std::string_view kPunct3[] = {"<<=", ">>=", "...", "->*"};
-inline constexpr std::string_view kPunct2[] = {
-    "::", "->", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=",
-    "*=", "/=", "%=", "&=", "|=", "^=", "++", "--", "##"};
+/// Length of the punctuator that starts `rest` by maximal munch over the
+/// three-character punctuators <<= >>= ... ->* and the two-character ones
+/// :: -> << >> <= >= == != && || += -= *= /= %= &= |= ^= ++ -- ##, or 1
+/// for any other character. One switch on the first character picks the
+/// candidates.
+inline std::size_t punct_length(std::string_view rest) {
+  const char a = rest[0];
+  const char b = rest.size() > 1 ? rest[1] : '\0';
+  const char c = rest.size() > 2 ? rest[2] : '\0';
+  switch (a) {
+    case '<':
+    case '>':
+      if (b == a) return c == '=' ? 3 : 2;
+      return b == '=' ? 2 : 1;
+    case '.':
+      return b == '.' && c == '.' ? 3 : 1;
+    case '-':
+      if (b == '>') return c == '*' ? 3 : 2;
+      return b == '-' || b == '=' ? 2 : 1;
+    case ':':
+    case '#':
+      return b == a ? 2 : 1;
+    case '&':
+    case '|':
+    case '+':
+      return b == a || b == '=' ? 2 : 1;
+    case '=':
+    case '!':
+    case '*':
+    case '/':
+    case '%':
+    case '^':
+      return b == '=' ? 2 : 1;
+    default:
+      return 1;
+  }
+}
 
 }  // namespace lexdetail
 
@@ -295,25 +328,7 @@ inline std::vector<Token> lex(std::string_view src) {
     }
 
     // -- punctuation: maximal munch ---------------------------------------
-    {
-      std::size_t len = 1;
-      const std::string_view rest = src.substr(i);
-      for (const std::string_view p : kPunct3) {
-        if (rest.substr(0, 3) == p) {
-          len = 3;
-          break;
-        }
-      }
-      if (len == 1) {
-        for (const std::string_view p : kPunct2) {
-          if (rest.substr(0, 2) == p) {
-            len = 2;
-            break;
-          }
-        }
-      }
-      emit(TokKind::kPunct, i, i + len);
-    }
+    emit(TokKind::kPunct, i, i + punct_length(src.substr(i)));
   }
   return out;
 }
